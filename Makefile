@@ -52,7 +52,7 @@ trace-smoke:
 # BENCH_chase.json / BENCH_wire.json baselines (the guarded values are
 # in-run ratios, so host speed cancels out; the chase gate pins the
 # hop-budget-16 speedup, the wire gate pins the analytics workload's
-# bytes-per-op reduction over the legacy protocol). Pass or fail, it
+# bytes-per-op reduction over the plain compact rung). Pass or fail, it
 # prints the per-row measured-vs-baseline delta tables.
 benchguard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_pipeline.json -writeback-baseline BENCH_writeback.json -replica-baseline BENCH_replica.json -chase-baseline BENCH_chase.json -wire-baseline BENCH_wire.json
@@ -109,8 +109,8 @@ bench-chase:
 	$(GO) run ./cmd/cardsbench -exp chase -scale quick -json > BENCH_chase.json
 	@cat BENCH_chase.json
 
-# bench-wire runs the wire-efficiency ladder (legacy tagged batches →
-# compact encoding → +adaptive LZ compression → +compiler-aided
+# bench-wire runs the wire-efficiency ladder (compact encoding with
+# compression off → +adaptive LZ compression → +compiler-aided
 # dirty-range write-back) over a bandwidth-shaped TCP loopback and
 # records bytes-on-wire per op and end-to-end throughput per rung.
 bench-wire:

@@ -142,26 +142,26 @@ type Config struct {
 	BreakerThreshold int
 
 	// Compression controls adaptive per-object compression on the
-	// compact wire tier (negotiated with the server; legacy servers are
-	// unaffected): "" or "adaptive" compresses objects whose observed
-	// compressibility pays for the CPU, sampling incompressible
-	// structures only occasionally; "off" ships every object raw.
+	// compact wire tier (negotiated with the server): "" or "adaptive"
+	// compresses objects whose observed compressibility pays for the
+	// CPU, sampling incompressible structures only occasionally; "off"
+	// ships every object raw.
 	Compression string
 	// DirtyRangeWriteback ships only the modified byte ranges of a dirty
-	// object at eviction when the far tier speaks the compact range
-	// verb: the runtime tracks a per-object dirty rectangle from the
-	// write guards and the server splices the extents into its stored
-	// image. Falls back to full-object write-backs transparently (legacy
-	// servers, wide rectangles, unknown coverage). Only meaningful with
+	// object at eviction: the runtime tracks a per-object dirty rectangle
+	// from the write guards and the server splices the extents into its
+	// stored image. Falls back to full-object write-backs transparently
+	// (wide rectangles, unknown coverage). Only meaningful with
 	// RemoteAddr/RemoteAddrs set.
 	DirtyRangeWriteback bool
 
 	// Trace enables cross-process distributed tracing. Span contexts
 	// ride the wire on every pipelined frame (negotiated with the
-	// server; legacy servers fall back transparently), the server stamps
-	// each reply with its receive/dispatch/complete times, and every
-	// remote operation is decomposed into clock-offset-free client-queue
-	// / wire / server-queue / server-service components feeding the
+	// server; a server that does not grant it leaves frames untraced),
+	// the server stamps each reply with its receive/dispatch/complete
+	// times, and every remote operation is decomposed into
+	// clock-offset-free client-queue / wire / server-queue /
+	// server-service components feeding the
 	// cards_attrib_* metric series. Head-sampled span trees accumulate
 	// in an in-process ring (WriteChromeTrace); the slowest ops of the
 	// last two 10s windows are always retained by the flight recorder
@@ -182,7 +182,7 @@ type policyStore interface {
 // Runtime is a far-memory runtime instance.
 type Runtime struct {
 	rt       *farmem.Runtime
-	client   remote.StoreConn
+	client   io.Closer
 	policies policyStore         // non-nil in multi-backend mode
 	tracer   *obs.Tracer         // non-nil iff Config.Trace
 	recorder *obs.FlightRecorder // non-nil iff Config.Trace
@@ -192,10 +192,9 @@ type Runtime struct {
 // New creates a runtime. With Config{} all memory budgets are zero, so
 // pass real budgets for anything beyond toy use.
 //
-// With RemoteAddr set, the connection is pipelined when the server
-// supports tagged batches (prefetches then overlap: a whole lookahead
-// window rides one doorbell), falling back to the serial protocol
-// against legacy servers.
+// With RemoteAddr set, the connection is pipelined (prefetches overlap:
+// a whole lookahead window rides one doorbell). A server on another
+// protocol version is refused with remote.ErrProtocolVersion.
 func New(cfg Config) (*Runtime, error) {
 	fc := farmem.Config{
 		PinnedBudget:    cfg.PinnedMemory,
@@ -232,7 +231,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		addrs = []string{cfg.RemoteAddr}
 	}
-	var client remote.StoreConn
+	var client io.Closer
 	var policies policyStore
 	if cfg.Replicas > 1 && len(addrs) < cfg.Replicas {
 		return nil, fmt.Errorf("cards: Replicas=%d needs at least that many RemoteAddrs (have %d)",

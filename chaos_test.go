@@ -32,14 +32,13 @@ func checkGoroutines(t *testing.T, before int) {
 	testutil.CheckGoroutines(t, before)
 }
 
-// dialChaosPipelined dials through the fault proxy until the negotiation
-// yields the pipelined client. Under frame corruption the feature
-// handshake itself can be garbled, in which case DialAutoOpts falls back
-// to the serial protocol — which has no CRC and must not carry payloads
-// across a corrupting link — so a serial fallback is closed and redialed.
+// dialChaosPipelined dials through the fault proxy. Under frame
+// corruption the version handshake itself can be garbled; that fails
+// the attempt like a real version mismatch would, and the dial retries
+// under RetryMax.
 func dialChaosPipelined(t *testing.T, addr string) *remote.PipelinedClient {
 	t.Helper()
-	cfg := remote.DialConfig{
+	c, err := remote.DialPipelined(addr, remote.PipelineOpts{
 		// A short stall timeout keeps corrupted-length frames (server
 		// blocked mid-frame, stream wedged) cheap: each one costs one
 		// Timeout before the stall detector cuts and replays.
@@ -47,25 +46,17 @@ func dialChaosPipelined(t *testing.T, addr string) *remote.PipelinedClient {
 		RetryMax:  64,
 		RetryBase: time.Millisecond,
 		RetryCap:  20 * time.Millisecond,
-		// Small batches: a coalesced READBATCH response (up to
-		// Window*4 KiB in one frame) could exceed every possible cut
-		// budget and replay forever; two objects per frame (~8 KiB)
-		// always fit the minimum cut draw (cut/2 = 16 KiB).
+		// Small batches: a coalesced batch response (up to Window*4 KiB
+		// in one frame) could exceed every possible cut budget and replay
+		// forever; two objects per frame (~8 KiB) always fit the minimum
+		// cut draw (cut/2 = 16 KiB).
 		Window:   8,
 		MaxBatch: 2,
+	})
+	if err != nil {
+		t.Fatalf("dial through the chaos proxy: %v", err)
 	}
-	for i := 0; i < 50; i++ {
-		c, err := remote.DialAutoOpts(addr, cfg)
-		if err != nil {
-			continue
-		}
-		if pc, ok := c.(*remote.PipelinedClient); ok {
-			return pc
-		}
-		c.Close()
-	}
-	t.Fatal("could not negotiate a pipelined connection through the chaos proxy")
-	return nil
+	return c
 }
 
 // TestChaosWorkloadsRunToCompletion is the headline robustness test: the

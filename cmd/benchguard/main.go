@@ -9,7 +9,7 @@
 // retention over its in-run R=1 baseline, the offloaded pointer chase's
 // speedup over dependent per-hop reads (pinned at hop budget 16), or the
 // compact+compression+range tier's bytes-on-wire reduction over the
-// legacy protocol (pinned at the analytics workload) has regressed.
+// plain compact rung (pinned at the analytics workload) has regressed.
 //
 // The guard compares *speedups over the in-run baseline row*, not
 // absolute throughput: both sides of the ratio come from the same
@@ -119,7 +119,7 @@ func main() {
 			name:      "wire",
 			baseline:  *wireBase,
 			threshold: *wireThresh,
-			ratioCol:  "bytes vs legacy",
+			ratioCol:  "bytes vs compact",
 			rowKey:    "analytics",
 			rowKey2:   "compact+lz+range",
 			run:       func() (*bench.Table, error) { return bench.Wire(bench.Quick()) },

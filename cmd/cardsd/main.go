@@ -1,12 +1,12 @@
 // Command cardsd is the remote memory node: it owns the far tier of
-// objects and serves the CaRDS wire protocol — serial READ/WRITE verbs
-// over length-prefixed TCP frames, plus the tagged pipelined verbs
-// (READBATCH scatter-gather reads, tagged writes) negotiated on PING,
-// and the epoch-stamped variants (WRITEEPOCHBATCH / READEPOCHBATCH,
-// feature bit FeatEpoch) the replicated client uses: writes carry a
-// monotonically increasing per-object epoch and apply only when at
-// least as new as the stored image, so replica resync and reissued
-// write-backs are idempotent.
+// objects and serves the CaRDS wire protocol over length-prefixed,
+// CRC-trailed TCP frames. A session opens with a version handshake
+// (peers on another protocol version are refused); after it, clients
+// pipeline tagged batch verbs — compact scatter-gather reads and
+// writes, traversal-offload programs, and the epoch-stamped variants
+// the replicated client uses: writes carry a monotonically increasing
+// per-object epoch and apply only when at least as new as the stored
+// image, so replica resync and reissued write-backs are idempotent.
 // Point a runtime at it with
 // cards.Config{RemoteAddr: ...} or run examples/cluster against it —
 // this is the "memory server machine" of the paper's two-node CloudLab
@@ -54,7 +54,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7770", "address to serve on")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /stats (JSON) and /debug/pprof/* on this address")
 	batchWorkers := flag.Int("batch-workers", remote.DefaultBatchWorkers,
-		"concurrent READBATCH handlers per connection (replies may be reordered)")
+		"concurrent batch handlers per connection (replies may be reordered)")
 	chaos := flag.String("chaos", "", "inject faults on every connection, e.g. cut=65536,corrupt=0.01,seed=7 (see internal/faultnet)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests")
 	verbose := flag.Bool("v", false, "log periodic statistics")

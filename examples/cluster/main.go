@@ -2,8 +2,8 @@
 // paper's two-machine setup on loopback. If -server is given, the
 // example connects to a running cardsd; otherwise it starts an
 // in-process server so the example is self-contained. Either way the
-// far tier is reached through the wire protocol: every eviction is a
-// WRITE frame, every miss a READ frame.
+// far tier is reached through the wire protocol: evictions ride
+// WRITEBATCH-C frames, misses READBATCH-C frames.
 package main
 
 import (

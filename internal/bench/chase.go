@@ -156,7 +156,7 @@ func runChaseOffload(addr string, walk, depth int) (*chaseResult, error) {
 	}
 	defer c.Close()
 	if !c.ChaseCapable() {
-		return nil, fmt.Errorf("chase: server did not negotiate FeatChase")
+		return nil, fmt.Errorf("chase: client cannot offload traversals")
 	}
 
 	r := &chaseResult{}

@@ -14,12 +14,13 @@ import (
 const pipelineObjSize = 4096
 
 // pipelineDepths are the in-flight windows the sweep measures. Depth 1
-// isolates the doorbell/demux overhead of the pipelined client itself
-// (one op in flight behaves like the serial client plus framing).
+// isolates the doorbell/demux overhead of the asynchronous issue path
+// against the serial baseline's blocking calls on the same window.
 var pipelineDepths = []int{1, 2, 4, 8, 16, 32}
 
-// Pipeline measures remote read throughput of the serial client vs the
-// pipelined client across window depths, over a real TCP loopback
+// Pipeline measures remote read throughput of serial access — one
+// blocking read at a time on a Window: 1 client — vs asynchronous
+// pipelined issue across window depths, over a real TCP loopback
 // connection to an in-process server. Unlike the other experiments this
 // one runs on wall-clock time, not the virtual cycle clock: it measures
 // the real data path the simulated one models.
@@ -32,9 +33,9 @@ func Pipeline(cfg Config) (*Table, error) {
 }
 
 // PipelineSweep runs the depth sweep: `reads` remote reads of
-// `objSize`-byte objects, once with the serial client and once with the
-// pipelined client per depth. Rows report throughput and speedup over
-// the serial baseline.
+// `objSize`-byte objects, once serially (blocking calls, Window 1) and
+// once pipelined per depth. Rows report throughput and speedup over the
+// serial baseline.
 func PipelineSweep(reads, objSize int, depths []int) (*Table, error) {
 	return pipelineSweep(reads, objSize, depths, "")
 }
@@ -98,7 +99,8 @@ func pipelineSweep(reads, objSize int, depths []int, chaos string) (*Table, erro
 	}
 	t.Notes = append(t.Notes,
 		"wall-clock over real sockets (not the virtual cycle clock); depth = bounded in-flight window",
-		"pipelined reads coalesce into READBATCH frames flushed through one buffered write (doorbell)")
+		"serial = blocking ReadObj calls on a Window: 1 client, one round trip at a time",
+		"pipelined reads coalesce into READBATCH-C frames flushed through one buffered write (doorbell)")
 	if proxy != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"chaos %q survived: %d forced disconnects, %d corrupted chunks, %d stalls across %d connections",
@@ -107,16 +109,29 @@ func pipelineSweep(reads, objSize int, depths []int, chaos string) (*Table, erro
 	return t, nil
 }
 
-// chaosDialTuning is the retry budget chaos-mode clients dial with: tight
-// backoff so throughput numbers stay meaningful, a deep enough reconnect
-// budget to outlast any reasonable cut schedule.
-func chaosClientOpts() remote.ClientOpts {
-	return remote.ClientOpts{
-		Timeout:   2 * time.Second,
-		RetryMax:  64,
-		RetryBase: time.Millisecond,
-		RetryCap:  20 * time.Millisecond,
+// pipelineOpts is the client configuration of one sweep row. Chaos-mode
+// clients dial with deadlines and a retry budget: tight backoff so
+// throughput numbers stay meaningful, a deep enough reconnect budget to
+// outlast any reasonable cut schedule.
+//
+// Compression is pinned off: the sweep isolates window-depth scaling,
+// and the seeded ramp objects are maximally compressible — adaptive LZ
+// would turn the measurement into a CPU benchmark of the compressor.
+// The wire ladder (bench -exp wire) measures that trade-off explicitly.
+func pipelineOpts(depth int, chaos bool) remote.PipelineOpts {
+	opts := remote.PipelineOpts{Window: depth, Compression: "off"}
+	if chaos {
+		opts.Timeout = 2 * time.Second
+		opts.RetryMax = 64
+		opts.RetryBase = time.Millisecond
+		opts.RetryCap = 20 * time.Millisecond
+		// Cap batch coalescing: a batch reply carrying the whole window
+		// (up to 128 KiB at depth 32) in one frame can exceed every
+		// possible cut budget of the schedule and replay forever. Four
+		// 4 KiB objects per frame fit any sane cut spec's minimum draw.
+		opts.MaxBatch = 4
 	}
+	return opts
 }
 
 // seedObjects writes a deterministic working set directly into the
@@ -134,13 +149,7 @@ func seedObjects(srv *remote.Server, objSize int) int {
 }
 
 func runSerial(addr string, reads, objSize, nObjs int, chaos bool) (time.Duration, error) {
-	var c *remote.Client
-	var err error
-	if chaos {
-		c, err = remote.DialOpts(addr, chaosClientOpts())
-	} else {
-		c, err = remote.Dial(addr)
-	}
+	c, err := remote.DialPipelined(addr, pipelineOpts(1, chaos))
 	if err != nil {
 		return 0, fmt.Errorf("pipeline: serial dial: %w", err)
 	}
@@ -156,23 +165,7 @@ func runSerial(addr string, reads, objSize, nObjs int, chaos bool) (time.Duratio
 }
 
 func runPipelined(addr string, reads, objSize, nObjs, depth int, chaos bool) (time.Duration, error) {
-	// Compression is pinned off: the sweep isolates window-depth scaling
-	// against the serial client, which always ships raw bytes, and the
-	// seeded ramp objects are maximally compressible — adaptive LZ would
-	// turn the measurement into a CPU benchmark of the compressor. The
-	// wire ladder (bench -exp wire) measures that trade-off explicitly.
-	opts := remote.PipelineOpts{Window: depth, Compression: "off"}
-	if chaos {
-		co := chaosClientOpts()
-		opts.Timeout, opts.RetryMax = co.Timeout, co.RetryMax
-		opts.RetryBase, opts.RetryCap = co.RetryBase, co.RetryCap
-		// Cap batch coalescing: a READBATCH response carrying the whole
-		// window (up to 128 KiB at depth 32) in one frame can exceed every
-		// possible cut budget of the schedule and replay forever. Four
-		// 4 KiB objects per frame fit any sane cut spec's minimum draw.
-		opts.MaxBatch = 4
-	}
-	c, err := remote.DialPipelined(addr, opts)
+	c, err := remote.DialPipelined(addr, pipelineOpts(depth, chaos))
 	if err != nil {
 		return 0, fmt.Errorf("pipeline: dial depth %d: %w", depth, err)
 	}

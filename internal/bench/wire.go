@@ -25,23 +25,23 @@ const (
 // wireMode is one rung of the wire-efficiency feature ladder.
 type wireMode struct {
 	name        string
-	noCompact   bool
 	compression string
 	rangeWB     bool
 }
 
+// wireModes is the ladder; the first rung is the baseline the ratio
+// columns compare against.
 var wireModes = []wireMode{
-	{"legacy", true, "off", false},
-	{"compact", false, "off", false},
-	{"compact+lz", false, "", false},
-	{"compact+lz+range", false, "", true},
+	{"compact", "off", false},
+	{"compact+lz", "", false},
+	{"compact+lz+range", "", true},
 }
 
 // Wire measures bytes-on-wire per remote operation and end-to-end run
 // time at a fixed simulated link bandwidth, across the wire-tier
-// feature ladder: legacy tagged batches, the bit-packed compact
-// encoding, compact plus adaptive per-object LZ compression, and
-// compact plus compression plus compiler-aided dirty-range write-back.
+// feature ladder: the bit-packed compact encoding with objects raw,
+// plus adaptive per-object LZ compression, plus compiler-aided
+// dirty-range write-back.
 // Two compiled workloads cover the two traffic shapes: the analytics
 // table scan (bulk column reads and writes, highly compressible ramp
 // data) and the pointer chase (small dependent reads, header-dominated
@@ -68,20 +68,20 @@ func Wire(cfg Config) (*Table, error) {
 		ID: "wire",
 		Title: fmt.Sprintf("Wire efficiency across the compact/compression/range ladder, %d MiB/s simulated link",
 			wireBandwidth>>20),
-		Header: []string{"workload", "mode", "KB/op", "wire MB", "ops", "wall", "bytes vs legacy", "tput vs legacy"},
+		Header: []string{"workload", "mode", "KB/op", "wire MB", "ops", "wall", "bytes vs compact", "tput vs compact"},
 	}
 	for _, w := range works {
-		var legacy *wireResult
-		for _, mode := range wireModes {
+		var base *wireResult
+		for i, mode := range wireModes {
 			r, err := runWire(w.build, mode)
 			if err != nil {
 				return nil, fmt.Errorf("wire %s/%s: %w", w.name, mode.name, err)
 			}
-			if mode.name == "legacy" {
-				legacy = r
-			} else if r.checksum != legacy.checksum {
-				return nil, fmt.Errorf("wire %s/%s: checksum %#x != legacy %#x — the wire tier changed the program's result",
-					w.name, mode.name, r.checksum, legacy.checksum)
+			if i == 0 {
+				base = r
+			} else if r.checksum != base.checksum {
+				return nil, fmt.Errorf("wire %s/%s: checksum %#x != %s %#x — the wire tier changed the program's result",
+					w.name, mode.name, r.checksum, wireModes[0].name, base.checksum)
 			}
 			t.Rows = append(t.Rows, []string{
 				w.name, mode.name,
@@ -89,16 +89,16 @@ func Wire(cfg Config) (*Table, error) {
 				fmt.Sprintf("%.2f", float64(r.wireBytes)/(1<<20)),
 				fmt.Sprintf("%d", r.ops),
 				r.elapsed.Round(time.Millisecond).String(),
-				ratio(legacy.perOp() / r.perOp()),
-				ratio(legacy.elapsed.Seconds() / r.elapsed.Seconds()),
+				ratio(base.perOp() / r.perOp()),
+				ratio(base.elapsed.Seconds() / r.elapsed.Seconds()),
 			})
 		}
 	}
 	t.Notes = append(t.Notes,
 		"every mode runs the same compiled workload to the same checksum; only the wire tier differs",
 		"KB/op = total frame bytes both directions / (remote fetches + write-backs); wall-clock includes the final drain",
-		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs legacy' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
-		"legacy = compact tier disabled (the pre-compact protocol, byte-identical to older servers); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
+		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs compact' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
+		"compact = bit-packed batch frames with compression off (objects ship raw); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
 	return t, nil
 }
 
@@ -133,7 +133,6 @@ func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, erro
 	reg := obs.NewRegistry()
 	cl, err := remote.DialPipelined(addr, remote.PipelineOpts{
 		Obs:         reg,
-		NoCompact:   mode.noCompact,
 		Compression: mode.compression,
 	})
 	if err != nil {

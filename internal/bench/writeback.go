@@ -23,16 +23,16 @@ const (
 	// past warm-up is a miss that must evict a dirty object first.
 	wbWorkingSet = 64
 	wbCacheObjs  = 16
-	// wbLookahead keeps demand reads prefetched (and READBATCH-coalesced)
+	// wbLookahead keeps demand reads prefetched (and batch-coalesced)
 	// in both modes, so the sync-vs-async delta isolates the write side.
 	wbLookahead = 4
 )
 
 // Writeback measures dirty-eviction write-back throughput and access
-// tail latency of the synchronous write path (one blocking WRITE round
+// tail latency of the synchronous write path (one blocking write round
 // trip per eviction, on the deref critical path) against the
 // asynchronous batched pipeline (evictions staged to pooled buffers and
-// flushed as WRITEBATCH frames), over a real TCP loopback connection
+// flushed as batched write frames), over a real TCP loopback connection
 // with injected per-frame service latency.
 func Writeback(cfg Config) (*Table, error) {
 	writes := int(cfg.WritebackWrites)

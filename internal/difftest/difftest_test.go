@@ -52,7 +52,11 @@ func TestOffloadExactCleanLink(t *testing.T) {
 // the per-hop replay would have.
 func TestOffloadExactUnderChaos(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
-	perhop, offload := Run(t, buildList(32768), Config{
+	// The list is sized for the fault floor: replayed chases halve their
+	// hop budget, so the offload run no longer inflates its own traffic
+	// with whole-reply replays, and the faults have to come from real
+	// work.
+	perhop, offload := Run(t, buildList(65536), Config{
 		Spec:     "cut=12288,corrupt=0.01,seed=7",
 		RetryMax: 8,
 		Window:   8,

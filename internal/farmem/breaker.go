@@ -92,86 +92,113 @@ func (s BreakerState) String() string {
 	return "closed"
 }
 
-// breaker holds the state machine. It is shared between the
-// single-threaded runtime and the background prober goroutine, hence
-// the mutex; every transition is cheap and rare.
-type breaker struct {
-	threshold  int
-	probeEvery time.Duration
-	hasPinger  bool
-
+// Domain is one fault domain's circuit breaker: the closed / open /
+// half-open state machine plus probe bookkeeping. The runtime drives one
+// for the whole far tier; the sharded and replicated stores drive one
+// per backend, so one dead backend degrades only the keys it owns.
+//
+// All methods are safe for concurrent use (the runtime's domain is
+// shared with its background prober); every transition is cheap and
+// rare.
+type Domain struct {
 	mu       sync.Mutex
 	state    BreakerState
 	consec   int       // consecutive failures while closed
 	openedAt time.Time // wall clock of the last trip
+	probing  bool
 }
 
-// gate is consulted before a store operation. It returns false when the
-// operation must fail fast with ErrDegraded. In the open state without
-// a prober it self-arms half-open once probeEvery has elapsed.
-func (b *breaker) gate() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != BreakerOpen {
+// Gate reports whether an operation may proceed; false means it must
+// fail fast with ErrDegraded. While open it self-arms half-open after
+// probeEvery when the store has no Ping method (pingable stores are
+// armed by their prober instead).
+func (d *Domain) Gate(probeEvery time.Duration, pingable bool) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state != BreakerOpen {
 		return true
 	}
-	if !b.hasPinger && time.Since(b.openedAt) >= b.probeEvery {
-		b.state = BreakerHalfOpen
+	if !pingable && time.Since(d.openedAt) >= probeEvery {
+		d.state = BreakerHalfOpen
 		return true
 	}
 	return false
 }
 
-// onSuccess records a successful store operation; reports true when
-// this was the half-open trial that closed the breaker (the caller then
-// runs recovery).
-func (b *breaker) onSuccess() (recovered bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consec = 0
-	if b.state == BreakerClosed {
+// OnSuccess records a successful operation; reports true when this was
+// the half-open trial that closed the breaker (the caller then runs
+// recovery).
+func (d *Domain) OnSuccess() (recovered bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.consec = 0
+	if d.state == BreakerClosed {
 		return false
 	}
-	b.state = BreakerClosed
+	d.state = BreakerClosed
 	return true
 }
 
-// onFailure records a failed store operation; reports true when this
-// failure tripped the breaker open (a half-open trial failure re-opens
-// without re-reporting).
-func (b *breaker) onFailure() (tripped bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consec++
-	switch b.state {
+// OnFailure records a failed operation; reports true when this failure
+// tripped the breaker open (a half-open trial failure re-opens without
+// re-reporting). threshold <= 0 never trips.
+func (d *Domain) OnFailure(threshold int) (tripped bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.consec++
+	switch d.state {
 	case BreakerHalfOpen:
-		b.state = BreakerOpen
-		b.openedAt = time.Now()
+		d.state = BreakerOpen
+		d.openedAt = time.Now()
 	case BreakerClosed:
-		if b.consec >= b.threshold {
-			b.state = BreakerOpen
-			b.openedAt = time.Now()
+		if threshold > 0 && d.consec >= threshold {
+			d.state = BreakerOpen
+			d.openedAt = time.Now()
 			return true
 		}
 	}
 	return false
 }
 
-// armHalfOpen moves open -> half-open (called by the prober after a
-// successful ping); the next store operation is the trial.
-func (b *breaker) armHalfOpen() {
-	b.mu.Lock()
-	if b.state == BreakerOpen {
-		b.state = BreakerHalfOpen
+// ArmHalfOpen moves open -> half-open (called by a prober after a
+// successful ping); the next operation is the recovery trial.
+func (d *Domain) ArmHalfOpen() {
+	d.mu.Lock()
+	if d.state == BreakerOpen {
+		d.state = BreakerHalfOpen
 	}
-	b.mu.Unlock()
+	d.mu.Unlock()
 }
 
-// State returns the current state.
-func (b *breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
+// State returns the current breaker state.
+func (d *Domain) State() BreakerState {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.state
+}
+
+// TryProbe claims the probe slot when the domain is open and no probe
+// is already running; the claimant must call ProbeDone afterwards.
+func (d *Domain) TryProbe() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state != BreakerOpen || d.probing {
+		return false
+	}
+	d.probing = true
+	return true
+}
+
+// ProbeDone releases the probe slot claimed by TryProbe.
+func (d *Domain) ProbeDone() {
+	d.mu.Lock()
+	d.probing = false
+	d.mu.Unlock()
+}
+
+// breakerGate is the runtime's gate on its global domain.
+func (r *Runtime) breakerGate() bool {
+	return r.breaker.Gate(r.breakerProbe, r.breakerPingable)
 }
 
 // isOpen is the hot-path check the allocator and evictor use.
@@ -209,14 +236,14 @@ func (r *Runtime) storeWrite(d *DS, idx int, src []byte) error {
 // breaker triggers recovery: budget restore + dirty drain.
 func (r *Runtime) storeOp(op func() error) error {
 	b := r.breaker
-	if b != nil && !b.gate() {
+	if b != nil && !r.breakerGate() {
 		r.stats.DegradedOps++
 		return ErrDegraded
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = op(); err == nil {
-			if b != nil && b.onSuccess() {
+			if b != nil && b.OnSuccess() {
 				r.recoverRemote()
 			}
 			r.maybeDrainShards()
@@ -237,7 +264,7 @@ func (r *Runtime) storeOp(op func() error) error {
 		r.stats.StoreRetries++
 		r.link.Retry()
 	}
-	if b != nil && b.onFailure() {
+	if b != nil && b.OnFailure(r.breakerThreshold) {
 		r.stats.BreakerTrips++
 		r.emit(EvBreakerTrip, -1, 0, false)
 	}
@@ -376,7 +403,7 @@ func (r *Runtime) growBudget(sz uint64) bool {
 // clock, not virtual cycles — probing is real-world I/O, invisible to
 // the simulation until the trial op succeeds.
 func (r *Runtime) probeLoop(p Pinger) {
-	t := time.NewTicker(r.breaker.probeEvery)
+	t := time.NewTicker(r.breakerProbe)
 	defer t.Stop()
 	for {
 		select {
@@ -387,7 +414,7 @@ func (r *Runtime) probeLoop(p Pinger) {
 				continue
 			}
 			if p.Ping() == nil {
-				r.breaker.armHalfOpen()
+				r.breaker.ArmHalfOpen()
 			}
 		}
 	}

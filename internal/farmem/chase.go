@@ -2,7 +2,7 @@ package farmem
 
 import "cards/internal/rdma"
 
-// Server-side traversal offload (the FeatChase extension, paper §4.2's
+// Server-side traversal offload (the CHASEBATCH verb, paper §4.2's
 // pointer-chase pattern taken to its logical end). A K-hop pointer chase
 // is the one access pattern a pipelined window cannot help: each hop's
 // address comes out of the previous object, so K hops cost K dependent
@@ -33,8 +33,8 @@ import "cards/internal/rdma"
 
 // ChaseStore is the synchronous traversal-offload surface of a far tier
 // (remote.Resilient, shardmap.ShardedStore, replica.Store). Capability
-// is advisory and session-scoped: it can flip after a reconnect or
-// failover, so callers must still handle errors by degrading to per-hop
+// is advisory: it can flip with the tier's health (a dead client, a
+// failover), so callers must still handle errors by degrading to per-hop
 // reads.
 type ChaseStore interface {
 	ChaseCapable() bool

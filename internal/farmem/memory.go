@@ -204,7 +204,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 	case objRemote:
 		// Read-your-writes coherence: while an asynchronous write-back of
 		// this object is staged (in flight or parked), its staging buffer
-		// holds the freshest bytes — a remote READ could race the write
+		// holds the freshest bytes — a remote read could race the write
 		// and observe the pre-write value. Serve the re-localization from
 		// staging, with no network and regardless of breaker state.
 		if hit, err := r.derefFromStaging(d, idx); err != nil {
@@ -224,7 +224,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 		}
 		// Fail fast while degraded — and BEFORE allocFrame, so refused
 		// derefs cannot erode the clean resident set through evictions.
-		if r.breaker != nil && !r.breaker.gate() {
+		if r.breaker != nil && !r.breakerGate() {
 			r.stats.DegradedOps++
 			return 0, errDegradedDeref(d.ID, idx)
 		}
@@ -560,7 +560,7 @@ func (r *Runtime) harvest(d *DS, idx int) error {
 	// failure is a contained per-shard degradation, which must not trip
 	// the global breaker — then reissue synchronously under the retry
 	// budget.
-	if r.breaker != nil && !errors.Is(p.err, ErrDegraded) && r.breaker.onFailure() {
+	if r.breaker != nil && !errors.Is(p.err, ErrDegraded) && r.breaker.OnFailure(r.breakerThreshold) {
 		r.stats.BreakerTrips++
 		r.emit(EvBreakerTrip, -1, 0, false)
 	}

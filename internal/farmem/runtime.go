@@ -438,7 +438,10 @@ type Runtime struct {
 	// Fault tolerance (breaker.go). baseRemotableBudget is the configured
 	// budget the breaker restores after degraded-mode growth.
 	retryMax            int
-	breaker             *breaker
+	breaker             *Domain // nil when no breaker is configured
+	breakerThreshold    int
+	breakerProbe        time.Duration
+	breakerPingable     bool
 	breakerCeiling      uint64
 	baseRemotableBudget uint64
 	breakerStop         chan struct{}
@@ -544,11 +547,10 @@ func New(cfg Config) *Runtime {
 			probe = 250 * time.Millisecond
 		}
 		p, hasPinger := store.(Pinger)
-		r.breaker = &breaker{
-			threshold:  cfg.BreakerThreshold,
-			probeEvery: probe,
-			hasPinger:  hasPinger,
-		}
+		r.breaker = &Domain{}
+		r.breakerThreshold = cfg.BreakerThreshold
+		r.breakerProbe = probe
+		r.breakerPingable = hasPinger
 		if hasPinger {
 			r.breakerStop = make(chan struct{})
 			go r.probeLoop(p)

@@ -18,17 +18,17 @@ import (
 //   - frees the frame immediately (the eviction completes at memory
 //     speed),
 //   - issues the write asynchronously; the transport coalesces staged
-//     writes from many evictions into WRITEBATCH doorbells.
+//     writes from many evictions into batched write doorbells.
 //
 // Invariants the staging map enforces:
 //
 //   - Read-your-writes: while a write-back is staged, the staging buffer
 //     holds the freshest bytes. A deref of the object is served by
 //     copying staging -> frame (derefFromStaging), never by a remote
-//     READ that could observe the pre-write value; prefetchers skip such
+//     read that could observe the pre-write value; prefetchers skip such
 //     objects for the same reason.
 //   - Per-object write ordering: the transport may reorder independent
-//     WRITEBATCH frames (they execute on a worker pool), so the runtime
+//     write batch frames (they execute on a worker pool), so the runtime
 //     never has two unacknowledged writes of one object in flight — a
 //     re-eviction waits out the object's previous staged write first.
 //   - Never silently retry a write: an uncertain or failed async write
@@ -154,7 +154,7 @@ func (r *Runtime) settleWB(p *pendingWB) bool {
 		r.releaseWB(p)
 		return true
 	}
-	if r.breaker != nil && !errors.Is(p.err, ErrDegraded) && r.breaker.onFailure() {
+	if r.breaker != nil && !errors.Is(p.err, ErrDegraded) && r.breaker.OnFailure(r.breakerThreshold) {
 		r.stats.BreakerTrips++
 		r.emit(EvBreakerTrip, -1, 0, false)
 	}

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// TestReadPathSteadyStateAllocFree pins the zero-allocation property of
-// the pooled data path: once the frame buffer pool and wire buffers are
-// warm, a full READBATCH round trip — client encode, checksummed
-// framing both ways, server decode + in-place DATABATCH gather, client
-// segment decode — must not touch the heap. A regression here puts the
-// GC back on the per-frame critical path, which is exactly the
-// bandwidth tax the pool exists to remove.
-func TestReadPathSteadyStateAllocFree(t *testing.T) {
+// readRoundTrip is one compression-off read round trip over the compact
+// frames — the path every session without FeatCompress takes: the
+// client encodes a READBATCH-C, the server decodes it and gathers the
+// reply in place through a reused DataBatchCBuilder in the
+// reserved-header layout (Begin), and the client decodes the
+// DATABATCH-C segments. trace stamps the span context on the request
+// and the server timing on the reply, as a FeatTrace session does.
+func readRoundTrip(t *testing.T, trace bool) func() {
 	reqs := []ReadReq{
 		{DS: 1, Idx: 0, Size: 256},
 		{DS: 1, Idx: 1, Size: 256},
@@ -23,11 +23,16 @@ func TestReadPathSteadyStateAllocFree(t *testing.T) {
 	var c2s, s2c bytes.Buffer // wire bytes, one buffer per direction
 	var rd bytes.Reader
 	decReqs := make([]ReadReq, 0, len(reqs))
-	segs := make([][]byte, 0, len(reqs))
+	segs := make([]DataSegC, 0, len(reqs))
+	var b DataBatchCBuilder
+	t.Cleanup(b.Release)
 
-	iter := func() {
-		// Client: issue a READBATCH.
-		req := EncodeReadBatchPooled(42, reqs)
+	return func() {
+		// Client: issue a READBATCH-C.
+		req := EncodeReadBatchCPooled(42, reqs)
+		if trace {
+			req.SetTraceCtx(0xA11CE, 0xB0B, true)
+		}
 		c2s.Reset()
 		if err := WriteFrameCRC(&c2s, req); err != nil {
 			t.Fatal(err)
@@ -36,42 +41,66 @@ func TestReadPathSteadyStateAllocFree(t *testing.T) {
 
 		// Server: decode the batch and gather the reply in place.
 		rd.Reset(c2s.Bytes())
-		fr, err := ReadFrameCRCPooled(&rd)
+		fr, err := ReadFramePooled(&rd, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decReqs, err = DecodeReadBatchInto(fr.Payload, decReqs)
+		if id, _, sampled := fr.TraceCtx(); trace && (id != 0xA11CE || !sampled) {
+			t.Fatalf("trace ctx lost on the wire: id %#x sampled %v", id, sampled)
+		}
+		decReqs, err = DecodeReadBatchCInto(fr.Payload, decReqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply := GetBuf(DataBatchSize(decReqs))
-		w := BeginDataBatch(reply, len(decReqs))
+		b.Reset()
+		b.Begin(decReqs)
 		for _, r := range decReqs {
-			copy(w.Next(int(r.Size)), obj)
+			s := b.Stage(int(r.Size))
+			copy(s, obj)
+			b.Add(s, false)
 		}
 		PutBuf(fr.Payload)
-		s2c.Reset()
-		if err := WriteFrameCRC(&s2c, w.Frame(fr.Tag)); err != nil {
+		out, err := b.Frame(fr.Tag)
+		if err != nil {
 			t.Fatal(err)
 		}
-		PutBuf(reply)
+		if trace {
+			out.SetServerStamp(123456, 3, 17)
+		}
+		s2c.Reset()
+		if err := WriteFrameCRC(&s2c, out); err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(out.Payload)
 
 		// Client: decode the reply segments.
 		rd.Reset(s2c.Bytes())
-		fr, err = ReadFrameCRCPooled(&rd)
+		fr, err = ReadFramePooled(&rd, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, err = DecodeDataBatchInto(fr.Payload, segs)
+		if _, q, sv := fr.ServerStamp(); trace && (q != 3 || sv != 17) {
+			t.Fatalf("server stamp lost on the wire: queue %d service %d", q, sv)
+		}
+		segs, err = DecodeDataBatchCInto(fr.Payload, segs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != len(reqs) || len(segs[0]) != 256 {
+		if len(segs) != len(reqs) || segs[0].Scheme != SchemeRaw || len(segs[0].Data) != 256 {
 			t.Fatalf("bad reply: %d segments", len(segs))
 		}
 		PutBuf(fr.Payload)
 	}
+}
 
+// TestReadPathSteadyStateAllocFree pins the zero-allocation property of
+// the pooled data path: once the frame buffer pool and wire buffers are
+// warm, a full compression-off read round trip (readRoundTrip) with
+// checksummed framing both ways must not touch the heap. A regression
+// here puts the GC back on the per-frame critical path, which is
+// exactly the bandwidth tax the pool exists to remove.
+func TestReadPathSteadyStateAllocFree(t *testing.T) {
+	iter := readRoundTrip(t, false)
 	// Warm the size-class free lists and grow the wire buffers before
 	// measuring — first-use allocations are expected and amortized.
 	for i := 0; i < 8; i++ {
@@ -89,74 +118,7 @@ func TestReadPathSteadyStateAllocFree(t *testing.T) {
 // on once negotiated (sampling only gates span *emission*), so an
 // allocation here taxes every op, not just the sampled ones.
 func TestTracedReadPathSteadyStateAllocFree(t *testing.T) {
-	reqs := []ReadReq{
-		{DS: 1, Idx: 0, Size: 256},
-		{DS: 1, Idx: 1, Size: 256},
-		{DS: 2, Idx: 7, Size: 64},
-	}
-	obj := bytes.Repeat([]byte{0xCD}, 256)
-
-	var c2s, s2c bytes.Buffer
-	var rd bytes.Reader
-	decReqs := make([]ReadReq, 0, len(reqs))
-	segs := make([][]byte, 0, len(reqs))
-
-	iter := func() {
-		// Client: issue a READBATCH stamped with the op's span context.
-		req := EncodeReadBatchPooled(42, reqs)
-		req.SetTraceCtx(0xA11CE, 0xB0B, true)
-		c2s.Reset()
-		if err := WriteFrameCRC(&c2s, req); err != nil {
-			t.Fatal(err)
-		}
-		PutBuf(req.Payload)
-
-		// Server: decode under trace framing, gather, stamp the reply.
-		rd.Reset(c2s.Bytes())
-		fr, err := ReadFramePooledOpts(&rd, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id, _, sampled := fr.TraceCtx(); id != 0xA11CE || !sampled {
-			t.Fatalf("trace ctx lost on the wire: id %#x sampled %v", id, sampled)
-		}
-		decReqs, err = DecodeReadBatchInto(fr.Payload, decReqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reply := GetBuf(DataBatchSize(decReqs))
-		w := BeginDataBatch(reply, len(decReqs))
-		for _, r := range decReqs {
-			copy(w.Next(int(r.Size)), obj)
-		}
-		PutBuf(fr.Payload)
-		out := w.Frame(fr.Tag)
-		out.SetServerStamp(123456, 3, 17)
-		s2c.Reset()
-		if err := WriteFrameCRC(&s2c, out); err != nil {
-			t.Fatal(err)
-		}
-		PutBuf(reply)
-
-		// Client: decode the stamped reply.
-		rd.Reset(s2c.Bytes())
-		fr, err = ReadFramePooledOpts(&rd, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, q, sv := fr.ServerStamp(); q != 3 || sv != 17 {
-			t.Fatalf("server stamp lost on the wire: queue %d service %d", q, sv)
-		}
-		segs, err = DecodeDataBatchInto(fr.Payload, segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) != len(reqs) || len(segs[0]) != 256 {
-			t.Fatalf("bad reply: %d segments", len(segs))
-		}
-		PutBuf(fr.Payload)
-	}
-
+	iter := readRoundTrip(t, true)
 	for i := 0; i < 8; i++ {
 		iter()
 	}
@@ -166,7 +128,7 @@ func TestTracedReadPathSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestCompactReadPathSteadyStateAllocFree pins the zero-allocation
-// property of the FeatCompact read path: delta-encoded READBATCH-C,
+// property of the compressing read path: delta-encoded READBATCH-C,
 // server-side gather through a reused DataBatchCBuilder (including the
 // LZ compression pass and its pooled hash table), and client-side
 // segment decode + decompression into a caller buffer. Compression must
@@ -202,7 +164,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 
 		// Server: decode, stage each object, compress adaptively.
 		rd.Reset(c2s.Bytes())
-		fr, err := ReadFrameCRCPooled(&rd)
+		fr, err := ReadFramePooled(&rd, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +192,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 
 		// Client: decode the reply, materializing each object.
 		rd.Reset(s2c.Bytes())
-		fr, err = ReadFrameCRCPooled(&rd)
+		fr, err = ReadFramePooled(&rd, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +235,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 // extent bytes through pooled scratch, encodes a WRITEEPOCHBATCH-C
 // with range tuples, and the server decodes into reused scratch and
 // applies the ranges read-modify-write. This is the steady-state
-// eviction path under FeatCompact — one allocation here taxes every
+// eviction path of a replicated far tier — one allocation here taxes every
 // dirty write-back.
 func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 	const objSize = 1024
@@ -316,7 +278,7 @@ func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 
 		// Server: decode and apply read-modify-write.
 		rd.Reset(c2s.Bytes())
-		in, err := ReadFrameCRCPooled(&rd)
+		in, err := ReadFramePooled(&rd, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +318,7 @@ func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 
 		// Client: decode the ack.
 		rd.Reset(s2c.Bytes())
-		in, err = ReadFrameCRCPooled(&rd)
+		in, err = ReadFramePooled(&rd, false)
 		if err != nil {
 			t.Fatal(err)
 		}

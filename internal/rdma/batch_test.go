@@ -10,7 +10,7 @@ import (
 
 func TestTaggedFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{Op: OpDataBatch, Tag: 0xDEADBEEF, Payload: []byte{4, 0, 0, 0}}
+	in := Frame{Op: OpDataBatchC, Tag: 0xDEADBEEF, Payload: []byte{4, 0, 0, 0}}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(raw[0:4]); got != uint32(len(in.Payload)) {
 		t.Fatalf("payloadLen on wire = %d, want %d (must exclude the tag)", got, len(in.Payload))
 	}
-	if Op(raw[4]) != OpDataBatch {
+	if Op(raw[4]) != OpDataBatchC {
 		t.Fatalf("op on wire = %d", raw[4])
 	}
 	if got := binary.LittleEndian.Uint32(raw[5:9]); got != in.Tag {
@@ -38,8 +38,8 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 }
 
 func TestUntaggedFramesUnchanged(t *testing.T) {
-	// Legacy frames must stay byte-identical to the original protocol:
-	// no tag on the wire for untagged opcodes.
+	// Untagged frames (the handshake and ERR) carry no tag on the wire,
+	// so a peer of any protocol version can parse them.
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Frame{Op: OpOK, Tag: 0xFFFFFFFF}); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,8 @@ func TestUntaggedFramesUnchanged(t *testing.T) {
 }
 
 func TestTaggedOpPredicate(t *testing.T) {
-	for _, op := range []Op{OpReadBatch, OpDataBatch, OpWriteTag, OpAckTag, OpErrTag} {
+	for _, op := range []Op{OpErrTag, OpReadEpochBatch, OpDataEpochBatch, OpChaseBatch, OpChaseData,
+		OpReadBatchC, OpDataBatchC, OpWriteBatchC, OpWriteEpochBatchC, OpAckBatchC} {
 		if !op.Tagged() {
 			t.Errorf("%s should be tagged", op)
 		}
@@ -62,7 +63,7 @@ func TestTaggedOpPredicate(t *testing.T) {
 			t.Errorf("missing name for tagged op %d", op)
 		}
 	}
-	for _, op := range []Op{OpRead, OpWrite, OpPing, OpData, OpOK, OpErr} {
+	for _, op := range []Op{OpPing, OpOK, OpErr} {
 		if op.Tagged() {
 			t.Errorf("%s should not be tagged", op)
 		}
@@ -71,7 +72,7 @@ func TestTaggedOpPredicate(t *testing.T) {
 
 func TestTaggedFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Op: OpAckTag, Tag: 7, Payload: nil})
+	WriteFrame(&buf, Frame{Op: OpAckBatchC, Tag: 7, Payload: nil})
 	raw := buf.Bytes()
 	// Cut inside the tag: header parses, tag read must fail.
 	if _, err := ReadFrame(bytes.NewReader(raw[:7])); err == nil {
@@ -79,13 +80,16 @@ func TestTaggedFrameTruncation(t *testing.T) {
 	}
 }
 
+// The fixed-width batch codecs are the epoch read pair: READEPOCHBATCH
+// tuples and the DATAEPOCHBATCH scatter-gather reply.
+
 func TestReadBatchCodec(t *testing.T) {
 	reqs := []ReadReq{{DS: 1, Idx: 2, Size: 64}, {DS: 3, Idx: 9, Size: 4096}}
-	f := EncodeReadBatch(42, reqs)
-	if f.Op != OpReadBatch || f.Tag != 42 {
+	f := EncodeReadEpochBatch(42, reqs)
+	if f.Op != OpReadEpochBatch || f.Tag != 42 {
 		t.Fatalf("frame = %+v", f)
 	}
-	got, err := DecodeReadBatch(f.Payload)
+	got, err := DecodeReadEpochBatch(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,31 +97,31 @@ func TestReadBatchCodec(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 
-	if _, err := DecodeReadBatch([]byte{1, 2}); err == nil {
+	if _, err := DecodeReadEpochBatch([]byte{1, 2}); err == nil {
 		t.Fatal("short payload should fail")
 	}
 	// Truncated tuple list: count says 2, payload carries 1.
 	trunc := f.Payload[:4+readReqSize]
-	if _, err := DecodeReadBatch(trunc); err == nil {
+	if _, err := DecodeReadEpochBatch(trunc); err == nil {
 		t.Fatal("truncated batch should fail")
 	}
 	// Trailing garbage.
 	long := append(append([]byte(nil), f.Payload...), 0xAA)
-	if _, err := DecodeReadBatch(long); err == nil {
+	if _, err := DecodeReadEpochBatch(long); err == nil {
 		t.Fatal("trailing garbage should fail")
 	}
 }
 
 func TestDataBatchCodec(t *testing.T) {
-	segs := [][]byte{[]byte("abc"), nil, []byte("0123456789")}
-	f, err := EncodeDataBatch(7, segs)
+	segs := []EpochSeg{{Epoch: 4, Data: []byte("abc")}, {}, {Epoch: 1 << 40, Data: []byte("0123456789")}}
+	f, err := EncodeDataEpochBatch(7, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Op != OpDataBatch || f.Tag != 7 {
+	if f.Op != OpDataEpochBatch || f.Tag != 7 {
 		t.Fatalf("frame = %+v", f)
 	}
-	got, err := DecodeDataBatch(f.Payload)
+	got, err := DecodeDataEpochBatch(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,30 +129,30 @@ func TestDataBatchCodec(t *testing.T) {
 		t.Fatalf("got %d segments", len(got))
 	}
 	for i := range segs {
-		if !bytes.Equal(got[i], segs[i]) {
-			t.Errorf("segment %d = %q, want %q", i, got[i], segs[i])
+		if got[i].Epoch != segs[i].Epoch || !bytes.Equal(got[i].Data, segs[i].Data) {
+			t.Errorf("segment %d = %+v, want %+v", i, got[i], segs[i])
 		}
 	}
 }
 
 func TestDataBatchTruncation(t *testing.T) {
-	f, _ := EncodeDataBatch(1, [][]byte{[]byte("payload")})
+	f, _ := EncodeDataEpochBatch(1, []EpochSeg{{Epoch: 2, Data: []byte("payload")}})
 	p := f.Payload
-	if _, err := DecodeDataBatch(p[:2]); err == nil {
+	if _, err := DecodeDataEpochBatch(p[:2]); err == nil {
 		t.Fatal("short header should fail")
 	}
-	if _, err := DecodeDataBatch(p[:6]); err == nil {
-		t.Fatal("cut inside segment length should fail")
+	if _, err := DecodeDataEpochBatch(p[:10]); err == nil {
+		t.Fatal("cut inside segment header should fail")
 	}
-	if _, err := DecodeDataBatch(p[:len(p)-2]); err == nil {
+	if _, err := DecodeDataEpochBatch(p[:len(p)-2]); err == nil {
 		t.Fatal("cut inside segment bytes should fail")
 	}
-	if _, err := DecodeDataBatch(append(append([]byte(nil), p...), 0)); err == nil {
+	if _, err := DecodeDataEpochBatch(append(append([]byte(nil), p...), 0)); err == nil {
 		t.Fatal("trailing garbage should fail")
 	}
 	// Forged count far beyond the payload must not drive the allocation.
 	forged := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := DecodeDataBatch(forged); err == nil {
+	if _, err := DecodeDataEpochBatch(forged); err == nil {
 		t.Fatal("forged count should fail")
 	}
 }
@@ -157,13 +161,13 @@ func TestDataBatchOversized(t *testing.T) {
 	// One segment over MaxFrame: encode must refuse (the write path), and
 	// a forged oversized tagged header must be rejected before the tag is
 	// even read (the read path).
-	if _, err := EncodeDataBatch(1, [][]byte{make([]byte, MaxFrame)}); err == nil {
-		t.Fatal("oversized DATABATCH encode should fail")
+	if _, err := EncodeDataEpochBatch(1, []EpochSeg{{Data: make([]byte, MaxFrame)}}); err == nil {
+		t.Fatal("oversized DATAEPOCHBATCH encode should fail")
 	}
-	if err := WriteFrame(&bytes.Buffer{}, Frame{Op: OpDataBatch, Tag: 1, Payload: make([]byte, MaxFrame+1)}); err == nil {
+	if err := WriteFrame(&bytes.Buffer{}, Frame{Op: OpDataEpochBatch, Tag: 1, Payload: make([]byte, MaxFrame+1)}); err == nil {
 		t.Fatal("oversized tagged write should fail")
 	}
-	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(OpDataBatch), 1, 0, 0, 0}
+	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(OpDataEpochBatch), 1, 0, 0, 0}
 	if _, err := ReadFrame(bytes.NewReader(forged)); err == nil {
 		t.Fatal("oversized tagged read should fail")
 	}
@@ -171,13 +175,13 @@ func TestDataBatchOversized(t *testing.T) {
 
 func TestDataBatchSizeBudget(t *testing.T) {
 	reqs := []ReadReq{{Size: 100}, {Size: 0}, {Size: 4096}}
-	want := 4 + (4 + 100) + (4 + 0) + (4 + 4096)
-	if got := DataBatchSize(reqs); got != want {
-		t.Fatalf("DataBatchSize = %d, want %d", got, want)
+	want := 4 + (12 + 100) + (12 + 0) + (12 + 4096)
+	if got := DataEpochBatchSize(reqs); got != want {
+		t.Fatalf("DataEpochBatchSize = %d, want %d", got, want)
 	}
-	// The budget must equal what EncodeDataBatch actually produces.
-	segs := [][]byte{make([]byte, 100), nil, make([]byte, 4096)}
-	f, err := EncodeDataBatch(1, segs)
+	// The budget must equal what EncodeDataEpochBatch actually produces.
+	segs := []EpochSeg{{Data: make([]byte, 100)}, {}, {Data: make([]byte, 4096)}}
+	f, err := EncodeDataEpochBatch(1, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,21 +190,28 @@ func TestDataBatchSizeBudget(t *testing.T) {
 	}
 }
 
+// TestFeatureNegotiationCodec pins the handshake payload: the protocol
+// version and the negotiable feature mask, in both directions.
 func TestFeatureNegotiationCodec(t *testing.T) {
-	f := PingFeatures(FeatBatch)
-	if f.Op != OpPing {
-		t.Fatal("wrong op")
+	for _, op := range []Op{OpPing, OpOK} {
+		f := Hello(op, FeatTrace)
+		if f.Op != op {
+			t.Fatal("wrong op")
+		}
+		version, feats, ok := DecodeHello(f.Payload)
+		if !ok || version != ProtocolVersion || feats != FeatTrace {
+			t.Fatalf("%s: version %d feats %#x ok %v", op, version, feats, ok)
+		}
 	}
-	feats, ok := DecodeFeatures(f.Payload)
-	if !ok || feats != FeatBatch {
-		t.Fatalf("feats = %#x ok = %v", feats, ok)
+	// A version-1 peer's bare feature mask (or an empty PING) is not a
+	// handshake of any version.
+	for _, p := range [][]byte{nil, {1, 2}, {0xFF, 0, 0, 0}, make([]byte, 9)} {
+		if _, _, ok := DecodeHello(p); ok {
+			t.Fatalf("payload %x decoded as a handshake", p)
+		}
 	}
-	// A legacy peer's empty payload decodes as "no features".
-	if _, ok := DecodeFeatures(nil); ok {
-		t.Fatal("empty payload should carry no features")
-	}
-	if _, ok := DecodeFeatures([]byte{1, 2}); ok {
-		t.Fatal("short payload should carry no features")
+	if Features != FeatTrace|FeatCompress {
+		t.Fatalf("negotiable features = %#x, want trace|compress", Features)
 	}
 }
 
@@ -217,16 +228,16 @@ func TestReadBatchProperty(t *testing.T) {
 		if len(tuples) > 1024 {
 			tuples = tuples[:1024]
 		}
-		fr := EncodeReadBatch(tag, tuples)
+		fr := EncodeReadEpochBatch(tag, tuples)
 		var buf bytes.Buffer
 		if WriteFrame(&buf, fr) != nil {
 			return false
 		}
 		got, err := ReadFrame(&buf)
-		if err != nil || got.Tag != tag || got.Op != OpReadBatch {
+		if err != nil || got.Tag != tag || got.Op != OpReadEpochBatch {
 			return false
 		}
-		reqs, err := DecodeReadBatch(got.Payload)
+		reqs, err := DecodeReadEpochBatch(got.Payload)
 		if err != nil || len(reqs) != len(tuples) {
 			return false
 		}

@@ -238,7 +238,7 @@ func TestChasePathSteadyStateAllocFree(t *testing.T) {
 
 		// Server: decode, walk (simulated), gather in place.
 		rd.Reset(c2s.Bytes())
-		fr, err := ReadFrameCRCPooled(&rd)
+		fr, err := ReadFramePooled(&rd, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestChasePathSteadyStateAllocFree(t *testing.T) {
 
 		// Client: decode the paths into reused result slices.
 		rd.Reset(s2c.Bytes())
-		fr, err = ReadFrameCRCPooled(&rd)
+		fr, err = ReadFramePooled(&rd, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,11 @@ package rdma
 
 import "fmt"
 
-// The FeatCompact wire tier: bit-packed batch headers, delta-encoded
+// The compact wire tier: bit-packed batch headers, delta-encoded
 // tuples, per-segment compression schemes, and the WRITERANGE
-// sub-encoding for dirty-range write-back.
+// sub-encoding for dirty-range write-back. Every plain read and every
+// write of a session rides these frames; LZ segments appear only on
+// sessions that negotiated FeatCompress.
 //
 // Compact frames keep the outer framing (u32 len | u8 op | u32 tag, CRC
 // trailer and trace extension unchanged) and re-encode only the batch
@@ -41,13 +43,13 @@ import "fmt"
 
 // Compact opcodes.
 const (
-	// OpReadBatchC is READBATCH with a compact payload; answered by
+	// OpReadBatchC is a batch read with a compact payload; answered by
 	// OpDataBatchC.
 	OpReadBatchC Op = TagBit | 0x0D
 	// OpDataBatchC is the compact scatter-gather reply: per-segment
 	// compression schemes ahead of the concatenated blobs.
 	OpDataBatchC Op = TagBit | 0x0E
-	// OpWriteBatchC is WRITEBATCH with compact tuples, each either a
+	// OpWriteBatchC is a batch write of compact tuples, each either a
 	// full object or a dirty-range write. Acked by OpAckBatchC.
 	OpWriteBatchC Op = TagBit | 0x0F
 	// OpWriteEpochBatchC is OpWriteBatchC with a per-tuple epoch stamp
@@ -56,19 +58,6 @@ const (
 	// OpAckBatchC acknowledges a compact write batch; its payload
 	// carries a per-tuple rejected bitmap (stale range bases only).
 	OpAckBatchC Op = TagBit | 0x11
-)
-
-// Feature bits for the compact tier.
-const (
-	// FeatCompact: the peer understands the compact batch verbs,
-	// including range-write tuples. Sessions without the bit use the
-	// fixed-width batch verbs — byte-identical to pre-compact peers.
-	FeatCompact uint32 = 1 << 6
-	// FeatCompress: the peer accepts SchemeLZ segments. Negotiated
-	// separately from FeatCompact so compression can be disabled (for
-	// benchmarking or CPU-bound deployments) while keeping the packed
-	// headers and range writes.
-	FeatCompress uint32 = 1 << 7
 )
 
 // Segment compression schemes (2 bits on the wire).
@@ -101,7 +90,7 @@ func compactCountOK(count uint64, p []byte) bool {
 // (count varint + full-width ds/idx/size varints per tuple).
 func readBatchCBound(n int) int { return 6 + 16*n }
 
-// EncodeReadBatchCPooled builds a compact READBATCH frame with a pooled
+// EncodeReadBatchCPooled builds a READBATCH-C frame with a pooled
 // payload; the caller should PutBuf it after the frame is written.
 func EncodeReadBatchCPooled(tag uint32, reqs []ReadReq) Frame {
 	w := NewBitWriter(GetBuf(readBatchCBound(len(reqs))))
@@ -138,7 +127,7 @@ func EncodeReadBatchCPooled(tag uint32, reqs []ReadReq) Frame {
 	return Frame{Op: OpReadBatchC, Tag: tag, Payload: p}
 }
 
-// DecodeReadBatchCInto parses a compact READBATCH payload, appending
+// DecodeReadBatchCInto parses a READBATCH-C payload, appending
 // into a caller-owned slice.
 func DecodeReadBatchCInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
 	r := NewBitReader(p)
@@ -189,7 +178,7 @@ func DecodeReadBatchCInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
 
 // --- DATABATCH-C ---
 
-// DataSegC is one decoded segment of a compact DATABATCH: the scheme,
+// DataSegC is one decoded segment of a DATABATCH-C: the scheme,
 // the decompressed length, and the wire bytes (a subslice of the
 // payload; empty for SchemeZero).
 type DataSegC struct {
@@ -198,7 +187,7 @@ type DataSegC struct {
 	Data   []byte
 }
 
-// DecodeDataBatchCInto parses a compact DATABATCH payload, appending
+// DecodeDataBatchCInto parses a DATABATCH-C payload, appending
 // into a caller-owned slice (Data fields remain subslices of p).
 func DecodeDataBatchCInto(p []byte, segs []DataSegC) ([]DataSegC, error) {
 	r := NewBitReader(p)
@@ -259,7 +248,7 @@ type dataSegMeta struct {
 	wireLen uint32
 }
 
-// DataBatchCBuilder assembles a compact DATABATCH reply. The server
+// DataBatchCBuilder assembles a DATABATCH-C reply. The server
 // stages each object read into Stage — a slot carved in place out of
 // the blob region — classifies it with Add (zero probe, optional
 // compression), and emits the frame once per batch. Raw staged objects
@@ -404,7 +393,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	return SchemeRaw, len(src)
 }
 
-// Frame assembles the compact DATABATCH reply with a pooled payload;
+// Frame assembles the DATABATCH-C reply with a pooled payload;
 // the caller should PutBuf the payload after writing the frame. A
 // Begin batch hands off the blob buffer itself — the header bits are
 // written into the reserved prefix and the staged bytes ship as-is.
@@ -499,8 +488,8 @@ func WriteBatchCSize(reqs []WriteReqC, epoch bool) int {
 	return n
 }
 
-// EncodeWriteBatchCPooled builds a compact WRITEBATCH (or, with epoch
-// set, WRITEEPOCHBATCH) frame with a pooled payload.
+// EncodeWriteBatchCPooled builds a WRITEBATCH-C (or, with epoch set,
+// WRITEEPOCHBATCH-C) frame with a pooled payload.
 func EncodeWriteBatchCPooled(tag uint32, reqs []WriteReqC, epoch bool) (Frame, error) {
 	bound := WriteBatchCSize(reqs, epoch)
 	if bound > MaxFrame+64 {
@@ -693,7 +682,7 @@ func DecodeWriteBatchCInto(p []byte, reqs []WriteReqC, exts []Extent, epoch bool
 
 // --- ACKBATCH-C ---
 
-// EncodeAckBatchC builds the compact ACKBATCH reply: the tuple count
+// EncodeAckBatchC builds the ACKBATCH-C reply: the tuple count
 // plus one rejected bit per tuple (rejected is a bitmap in uint64
 // words; nil means none rejected). The payload is pooled.
 func EncodeAckBatchC(tag uint32, count int, rejected []uint64) Frame {
@@ -713,7 +702,7 @@ func EncodeAckBatchC(tag uint32, count int, rejected []uint64) Frame {
 	return Frame{Op: OpAckBatchC, Tag: tag, Payload: p}
 }
 
-// DecodeAckBatchC parses a compact ACKBATCH payload into the tuple
+// DecodeAckBatchC parses an ACKBATCH-C payload into the tuple
 // count and the rejected bitmap, appending words into a caller-owned
 // scratch slice (returned grown for reuse); any reports whether at
 // least one tuple was rejected.

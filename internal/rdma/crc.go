@@ -11,18 +11,19 @@ import (
 // Frame integrity. TCP's 16-bit checksum misses roughly one corrupted
 // segment in 65k, and a chaos transport (internal/faultnet) flips bytes
 // on purpose — either way a flipped payload byte would silently corrupt
-// far-memory objects. Peers that both advertise FeatCRC therefore
-// switch the session to checksummed framing right after feature
-// negotiation: every frame is followed by a u32 CRC32-C (Castagnoli,
+// far-memory objects. Every session therefore uses checksummed framing
+// from the first frame after the handshake: every frame is followed by
+// a u32 CRC32-C (Castagnoli,
 // the polynomial RDMA NICs and iSCSI use) computed over the opcode, the
 // tag (when present), and the payload. The length prefix is not
 // summed — a corrupted length desynchronizes the stream, which the
 // checksum then catches on the misframed bytes that follow.
 //
-// The negotiation PING and its OK reply are always sent in legacy
-// framing (they must be readable before the feature set is known), so
-// the switch happens atomically after that first exchange on both
-// sides.
+// The handshake PING and its OK/ERR reply are plain-framed (they must
+// be readable by a peer of any protocol version), so the switch happens
+// atomically after that first exchange on both sides. A corrupted
+// handshake surfaces as a version mismatch or a malformed reply, which
+// the client retries like any other failed dial.
 
 // ErrCRC reports a checksum mismatch: the frame (and everything after
 // it on this stream) cannot be trusted. The only safe recovery is to

@@ -5,28 +5,15 @@ import (
 	"fmt"
 )
 
-// Epoch-stamped verbs (the FeatEpoch extension). The replication layer
-// versions every object with a monotonically increasing u64 epoch so a
-// backup can tell a stale image from a current one without comparing
-// bytes. The verbs mirror the batch verbs exactly — same doorbell
-// coalescing, same tag demux — with the epoch spliced into each tuple:
+// Epoch-stamped read verbs. The replication layer versions every object
+// with a monotonically increasing u64 epoch so a backup can tell a stale
+// image from a current one without comparing bytes. Epoch-stamped
+// writes ride the compact tier (WRITEEPOCHBATCH-C, compact.go); the read
+// side keeps fixed-width frames:
 //
-//	WRITEEPOCHBATCH: u32 count | count x (u32 ds | u32 idx | u64 epoch | u32 len | bytes)
-//	                 -> ACKBATCH (same tag)
 //	READEPOCHBATCH:  u32 count | count x (u32 ds | u32 idx | u32 size)
 //	                 -> DATAEPOCHBATCH (same tag)
 //	DATAEPOCHBATCH:  u32 count | count x (u64 epoch | u32 len | bytes)
-//
-// A READEPOCHBATCH payload is byte-identical to READBATCH — only the
-// opcode (and therefore the reply shape) differs. Sessions that did not
-// negotiate FeatEpoch never carry these opcodes.
-
-// WriteEpochReq is one epoch-stamped write tuple.
-type WriteEpochReq struct {
-	DS, Idx uint32
-	Epoch   uint64
-	Data    []byte
-}
 
 // EpochSeg is one segment of a DATAEPOCHBATCH reply: the stored epoch
 // and the object bytes. A missing object decodes as Epoch 0 with empty
@@ -36,131 +23,66 @@ type EpochSeg struct {
 	Data  []byte
 }
 
-// writeEpochReqHdrSize is the fixed prefix of one WRITEEPOCHBATCH
-// tuple: u32 ds | u32 idx | u64 epoch | u32 len.
-const writeEpochReqHdrSize = 20
-
 // epochSegHdrSize is the fixed prefix of one DATAEPOCHBATCH segment:
 // u64 epoch | u32 len.
 const epochSegHdrSize = 12
 
-// WriteEpochBatchSize returns the WRITEEPOCHBATCH payload size for
-// reqs — the value the flusher bounds against MaxFrame before closing
-// a batch.
-func WriteEpochBatchSize(reqs []WriteEpochReq) int {
-	n := 4
-	for _, r := range reqs {
-		n += writeEpochReqHdrSize + len(r.Data)
-	}
-	return n
-}
+// readReqSize is the wire size of one fixed-width (ds, idx, size) read
+// tuple.
+const readReqSize = 12
 
-// EncodeWriteEpochBatch builds a WRITEEPOCHBATCH frame.
-func EncodeWriteEpochBatch(tag uint32, reqs []WriteEpochReq) (Frame, error) {
-	n := WriteEpochBatchSize(reqs)
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("rdma: WRITEEPOCHBATCH too large (%d bytes)", n)
-	}
-	p := make([]byte, n)
-	encodeWriteEpochBatchInto(p, reqs)
-	return Frame{Op: OpWriteEpochBatch, Tag: tag, Payload: p}, nil
-}
-
-// EncodeWriteEpochBatchPooled is EncodeWriteEpochBatch with a pooled
-// payload; the caller should PutBuf it after the frame is written.
-func EncodeWriteEpochBatchPooled(tag uint32, reqs []WriteEpochReq) (Frame, error) {
-	n := WriteEpochBatchSize(reqs)
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("rdma: WRITEEPOCHBATCH too large (%d bytes)", n)
-	}
-	p := GetBuf(n)
-	encodeWriteEpochBatchInto(p, reqs)
-	return Frame{Op: OpWriteEpochBatch, Tag: tag, Payload: p}, nil
-}
-
-func encodeWriteEpochBatchInto(p []byte, reqs []WriteEpochReq) {
-	binary.LittleEndian.PutUint32(p[0:], uint32(len(reqs)))
-	off := 4
-	for _, r := range reqs {
-		binary.LittleEndian.PutUint32(p[off:], r.DS)
-		binary.LittleEndian.PutUint32(p[off+4:], r.Idx)
-		binary.LittleEndian.PutUint64(p[off+8:], r.Epoch)
-		binary.LittleEndian.PutUint32(p[off+16:], uint32(len(r.Data)))
-		off += writeEpochReqHdrSize
-		copy(p[off:], r.Data)
-		off += len(r.Data)
-	}
-}
-
-// DecodeWriteEpochBatch parses a WRITEEPOCHBATCH payload (Data fields
-// are subslices of p — valid while p is).
-func DecodeWriteEpochBatch(p []byte) ([]WriteEpochReq, error) {
-	return DecodeWriteEpochBatchInto(p, nil)
-}
-
-// DecodeWriteEpochBatchInto is DecodeWriteEpochBatch appending into a
-// caller-owned slice, letting a steady-state server reuse one across
-// batches.
-func DecodeWriteEpochBatchInto(p []byte, reqs []WriteEpochReq) ([]WriteEpochReq, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rdma: bad WRITEEPOCHBATCH payload length %d", len(p))
-	}
-	count := binary.LittleEndian.Uint32(p)
-	// Each tuple needs at least its fixed header; a count beyond that is
-	// a forged header — reject before sizing any allocation by it.
-	if uint64(count) > uint64(len(p)-4)/writeEpochReqHdrSize {
-		return nil, fmt.Errorf("rdma: WRITEEPOCHBATCH count %d exceeds payload", count)
-	}
-	reqs = reqs[:0]
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		if off+writeEpochReqHdrSize > len(p) {
-			return nil, fmt.Errorf("rdma: truncated WRITEEPOCHBATCH at tuple %d", i)
-		}
-		n := int(binary.LittleEndian.Uint32(p[off+16:]))
-		r := WriteEpochReq{
-			DS:    binary.LittleEndian.Uint32(p[off:]),
-			Idx:   binary.LittleEndian.Uint32(p[off+4:]),
-			Epoch: binary.LittleEndian.Uint64(p[off+8:]),
-		}
-		off += writeEpochReqHdrSize
-		if n < 0 || off+n > len(p) {
-			return nil, fmt.Errorf("rdma: truncated WRITEEPOCHBATCH tuple %d (%d bytes)", i, n)
-		}
-		r.Data = p[off : off+n]
-		off += n
-		reqs = append(reqs, r)
-	}
-	if off != len(p) {
-		return nil, fmt.Errorf("rdma: WRITEEPOCHBATCH trailing garbage (%d bytes)", len(p)-off)
-	}
-	return reqs, nil
-}
-
-// EncodeReadEpochBatch builds a READEPOCHBATCH frame — READBATCH
-// tuples under the epoch-reply opcode.
+// EncodeReadEpochBatch builds a READEPOCHBATCH frame for the given
+// tuples.
 func EncodeReadEpochBatch(tag uint32, reqs []ReadReq) Frame {
-	f := EncodeReadBatch(tag, reqs)
-	f.Op = OpReadEpochBatch
-	return f
+	p := make([]byte, 4+readReqSize*len(reqs))
+	encodeReadTuples(p, reqs)
+	return Frame{Op: OpReadEpochBatch, Tag: tag, Payload: p}
 }
 
 // EncodeReadEpochBatchPooled is EncodeReadEpochBatch with the payload
 // drawn from the pool; the caller should PutBuf it after the frame is
 // written.
 func EncodeReadEpochBatchPooled(tag uint32, reqs []ReadReq) Frame {
-	f := EncodeReadBatchPooled(tag, reqs)
-	f.Op = OpReadEpochBatch
-	return f
+	p := GetBuf(4 + readReqSize*len(reqs))
+	encodeReadTuples(p, reqs)
+	return Frame{Op: OpReadEpochBatch, Tag: tag, Payload: p}
+}
+
+func encodeReadTuples(p []byte, reqs []ReadReq) {
+	binary.LittleEndian.PutUint32(p[0:], uint32(len(reqs)))
+	for i, r := range reqs {
+		off := 4 + i*readReqSize
+		binary.LittleEndian.PutUint32(p[off:], r.DS)
+		binary.LittleEndian.PutUint32(p[off+4:], r.Idx)
+		binary.LittleEndian.PutUint32(p[off+8:], r.Size)
+	}
 }
 
 // DecodeReadEpochBatch parses a READEPOCHBATCH payload.
-func DecodeReadEpochBatch(p []byte) ([]ReadReq, error) { return DecodeReadBatch(p) }
+func DecodeReadEpochBatch(p []byte) ([]ReadReq, error) { return DecodeReadEpochBatchInto(p, nil) }
 
 // DecodeReadEpochBatchInto is DecodeReadEpochBatch appending into a
-// caller-owned slice.
+// caller-owned slice, letting a steady-state server reuse one across
+// batches.
 func DecodeReadEpochBatchInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
-	return DecodeReadBatchInto(p, reqs)
+	if len(p) < 4 {
+		return nil, fmt.Errorf("rdma: bad READEPOCHBATCH payload length %d", len(p))
+	}
+	count := binary.LittleEndian.Uint32(p)
+	if uint64(len(p)) != 4+uint64(count)*readReqSize {
+		return nil, fmt.Errorf("rdma: READEPOCHBATCH length mismatch: header %d tuples, payload %d bytes",
+			count, len(p))
+	}
+	reqs = reqs[:0]
+	for i := 0; i < int(count); i++ {
+		off := 4 + i*readReqSize
+		reqs = append(reqs, ReadReq{
+			DS:   binary.LittleEndian.Uint32(p[off:]),
+			Idx:  binary.LittleEndian.Uint32(p[off+4:]),
+			Size: binary.LittleEndian.Uint32(p[off+8:]),
+		})
+	}
+	return reqs, nil
 }
 
 // DataEpochBatchSize returns the DATAEPOCHBATCH payload size replying

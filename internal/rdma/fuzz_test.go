@@ -2,9 +2,20 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
+
+// le32s packs little-endian u32s, for hand-assembled seed payloads.
+func le32s(vs ...uint32) []byte {
+	p := make([]byte, 4*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(p[4*i:], v)
+	}
+	return p
+}
 
 // frameBytes serializes f in plain or checksummed framing for seeding.
 func frameBytes(t *testing.F, f Frame, crc bool) []byte {
@@ -36,47 +47,43 @@ func FuzzFrameDecode(f *testing.F) {
 	// Valid frames across the opcode space: untagged, tagged, empty and
 	// non-empty payloads, batch encodings.
 	seeds := []Frame{
-		EncodeRead(1, 2, 64),
-		EncodeWrite(3, 4, []byte("payload bytes")),
+		Hello(OpPing, FeatTrace|FeatCompress),
+		Hello(OpOK, FeatCompress),
 		{Op: OpPing},
-		PingFeatures(FeatBatch | FeatCRC),
-		{Op: OpData, Payload: bytes.Repeat([]byte{0xAB}, 100)},
 		{Op: OpOK},
 		ErrFrame("remote store: no such object"),
-		EncodeReadBatch(7, []ReadReq{{DS: 1, Idx: 2, Size: 32}, {DS: 1, Idx: 3, Size: 32}}),
-		{Op: OpWriteTag, Tag: 9, Payload: EncodeWrite(1, 5, []byte("x")).Payload},
-		{Op: OpAckTag, Tag: 9},
 		ErrTagFrame(11, "boom"),
-		EncodeAckBatch(9, 2),
 	}
-	if wb, err := EncodeWriteBatch(8, []WriteReq{
-		{DS: 1, Idx: 2, Data: []byte("first object")},
-		{DS: 1, Idx: 3, Data: nil},
-		{DS: 2, Idx: 0, Data: bytes.Repeat([]byte{0x5A}, 64)},
-	}); err == nil {
-		seeds = append(seeds, wb)
-	}
-	if db, err := EncodeDataBatch(7, [][]byte{[]byte("aaaa"), []byte("bb"), nil}); err == nil {
-		seeds = append(seeds, db)
-	}
-	// Epoch-stamped verbs (the FeatEpoch extension): write tuples with
-	// the u64 stamp spliced in, the READBATCH-shaped request under its
-	// own opcode, and the stamped scatter-gather reply — including a
-	// zero-epoch (absent object) segment and an empty payload.
+	// Epoch-stamped read verbs: the fixed-width request and the stamped
+	// scatter-gather reply — including a zero-epoch (absent object)
+	// segment and an empty payload.
 	seeds = append(seeds, EncodeReadEpochBatch(13, []ReadReq{{DS: 2, Idx: 7, Size: 16}, {DS: 2, Idx: 8, Size: 0}}))
-	if wb, err := EncodeWriteEpochBatch(14, []WriteEpochReq{
-		{DS: 1, Idx: 2, Epoch: 1, Data: []byte("epoch one")},
-		{DS: 1, Idx: 3, Epoch: 1<<63 + 42, Data: nil},
-		{DS: 3, Idx: 0, Epoch: 7, Data: bytes.Repeat([]byte{0xC3}, 48)},
-	}); err == nil {
-		seeds = append(seeds, wb)
-	}
 	if db, err := EncodeDataEpochBatch(15, []EpochSeg{
 		{Epoch: 9, Data: []byte("stamped")},
 		{Epoch: 0, Data: nil},
 	}); err == nil {
 		seeds = append(seeds, db)
 	}
+	// The verbs of the version-1 protocol, as a version-1 peer framed
+	// them: a version-2 decoder must parse the frames without panicking,
+	// name the opcodes unknown, and leave them to the server's
+	// unexpected-op rejection. The feature-mask PING is the version-1
+	// handshake.
+	tuple := le32s(1, 2, 32)
+	write := append(le32s(3, 4, 13), "payload bytes"...)
+	seeds = append(seeds,
+		Frame{Op: 1, Payload: tuple},                                                            // READ
+		Frame{Op: 2, Payload: write},                                                            // WRITE
+		Frame{Op: 4, Payload: bytes.Repeat([]byte{0xAB}, 100)},                                  // DATA
+		Frame{Op: TagBit | 0x01, Tag: 7, Payload: append(le32s(2), append(tuple, tuple...)...)}, // READBATCH
+		Frame{Op: TagBit | 0x02, Tag: 7, Payload: append(le32s(1, 4), "aaaa"...)},               // DATABATCH
+		Frame{Op: TagBit | 0x03, Tag: 9, Payload: write},                                        // WRITETAG
+		Frame{Op: TagBit | 0x04, Tag: 9},                                                        // ACKTAG
+		Frame{Op: TagBit | 0x06, Tag: 8, Payload: append(le32s(1), write...)},                   // WRITEBATCH
+		Frame{Op: TagBit | 0x07, Tag: 8, Payload: le32s(1)},                                     // ACKBATCH
+		Frame{Op: TagBit | 0x08, Tag: 14, Payload: le32s(1, 1, 2, 1, 0, 0)},                     // WRITEEPOCHBATCH
+		Frame{Op: OpPing, Payload: le32s(0xFF)},                                                 // version-1 feature PING
+	)
 	// Traversal-offload verbs (the FeatChase extension): programs with
 	// and without field masks, and replies across the status space —
 	// multi-hop done, budget-exhausted, and an empty path.
@@ -95,7 +102,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}); err == nil {
 		seeds = append(seeds, cd)
 	}
-	// Compact-tier verbs (the FeatCompact/FeatCompress extension):
+	// Compact-tier verbs:
 	// delta-encoded read batches, mixed-scheme data batches, write
 	// batches with full, zero, compressed and range tuples, and the
 	// rejected-bitmap ack.
@@ -159,9 +166,9 @@ func FuzzFrameDecode(f *testing.F) {
 	// length prefix, tagged opcode with missing tag, trailing garbage.
 	f.Add([]byte{})
 	f.Add([]byte{0x0C, 0x00, 0x00})                                  // torn header
-	f.Add([]byte{0x0C, 0x00, 0x00, 0x00, byte(OpRead), 1, 2, 3})     // torn payload
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(OpData)})              // oversized length
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, byte(OpReadBatch)})         // tagged, no tag bytes
+	f.Add([]byte{0x0C, 0x00, 0x00, 0x00, byte(OpErr), 1, 2, 3})      // torn payload
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(OpErr)})               // oversized length
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, byte(OpReadBatchC)})        // tagged, no tag bytes
 	f.Add(append(frameBytes(f, Frame{Op: OpOK}, false), 0xDE, 0xAD)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -215,55 +222,12 @@ func FuzzFrameDecode(f *testing.F) {
 
 		// Payload decoders: no panics, and success implies an identical
 		// re-encoding.
+		for _, op := range deletedOps {
+			if fr.Op == op && !strings.HasPrefix(fr.Op.String(), "op(") {
+				t.Fatalf("deleted opcode %d decoded as %s", uint8(op), fr.Op)
+			}
+		}
 		switch fr.Op {
-		case OpRead:
-			if r, err := DecodeRead(fr.Payload); err == nil {
-				if re := EncodeRead(r.DS, r.Idx, r.Size); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("READ re-encode mismatch")
-				}
-			}
-		case OpWrite, OpWriteTag:
-			if r, err := DecodeWrite(fr.Payload); err == nil {
-				if re := EncodeWrite(r.DS, r.Idx, r.Data); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("WRITE re-encode mismatch")
-				}
-			}
-		case OpReadBatch:
-			if reqs, err := DecodeReadBatch(fr.Payload); err == nil {
-				if re := EncodeReadBatch(fr.Tag, reqs); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("READBATCH re-encode mismatch")
-				}
-			}
-		case OpDataBatch:
-			if segs, err := DecodeDataBatch(fr.Payload); err == nil {
-				re, err := EncodeDataBatch(fr.Tag, segs)
-				if err != nil {
-					t.Fatalf("DATABATCH re-encode: %v", err)
-				}
-				if !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("DATABATCH re-encode mismatch")
-				}
-			}
-		case OpWriteBatch:
-			if reqs, err := DecodeWriteBatch(fr.Payload); err == nil {
-				re, err := EncodeWriteBatch(fr.Tag, reqs)
-				if err != nil {
-					t.Fatalf("WRITEBATCH re-encode: %v", err)
-				}
-				if !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("WRITEBATCH re-encode mismatch")
-				}
-			}
-		case OpWriteEpochBatch:
-			if reqs, err := DecodeWriteEpochBatch(fr.Payload); err == nil {
-				re, err := EncodeWriteEpochBatch(fr.Tag, reqs)
-				if err != nil {
-					t.Fatalf("WRITEEPOCHBATCH re-encode: %v", err)
-				}
-				if !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("WRITEEPOCHBATCH re-encode mismatch")
-				}
-			}
 		case OpReadEpochBatch:
 			if reqs, err := DecodeReadEpochBatch(fr.Payload); err == nil {
 				if re := EncodeReadEpochBatch(fr.Tag, reqs); !bytes.Equal(re.Payload, fr.Payload) {
@@ -278,12 +242,6 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 				if !bytes.Equal(re.Payload, fr.Payload) {
 					t.Fatalf("DATAEPOCHBATCH re-encode mismatch")
-				}
-			}
-		case OpAckBatch:
-			if n, err := DecodeAckBatch(fr.Payload); err == nil {
-				if re := EncodeAckBatch(fr.Tag, n); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("ACKBATCH re-encode mismatch")
 				}
 			}
 		case OpChaseBatch:
@@ -310,7 +268,11 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			}
 		case OpPing, OpOK:
-			DecodeFeatures(fr.Payload)
+			if v, feats, ok := DecodeHello(fr.Payload); ok {
+				if re := Hello(fr.Op, feats); v == ProtocolVersion && !bytes.Equal(re.Payload, fr.Payload) {
+					t.Fatalf("handshake re-encode mismatch")
+				}
+			}
 		case OpReadBatchC:
 			// The compact encodings are non-canonical (a repeated DS may
 			// arrive as either the same-DS bit or an explicit varint), so

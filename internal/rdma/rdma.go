@@ -2,11 +2,11 @@
 // and a remote memory server. The paper's systems run over DPDK/RDMA on
 // 25 Gb/s ConnectX-4 NICs; Go has no DPDK path, so this package provides
 // the closest portable equivalent: a compact binary framing for
-// one-sided-style READ/WRITE verbs over a reliable byte stream (TCP, or
-// net.Pipe in tests). The simulated-time experiments never touch this
-// code — they charge the netsim cost model instead — but the runtime can
-// run against a real cardsd server through internal/remote, which proves
-// the data path end to end.
+// one-sided-style batch read/write verbs over a reliable byte stream
+// (TCP, or net.Pipe in tests). The simulated-time experiments never
+// touch this code — they charge the netsim cost model instead — but the
+// runtime can run against a real cardsd server through internal/remote,
+// which proves the data path end to end.
 //
 // Frame layout (little endian):
 //
@@ -18,33 +18,29 @@
 // pipelined client keep many requests in flight and demultiplex
 // completions arriving out of order.
 //
-// Payloads:
+// A session opens with one plain-framed handshake: the client sends
+// PING carrying the protocol version and the negotiable features it
+// wants, and the server answers OK with the version and the features
+// it grants — or ERR when the versions differ (see Hello). Every frame
+// after the handshake, in both directions, carries a CRC32-C trailer
+// (crc.go), and on FeatTrace sessions every tagged frame carries the
+// trace block (trace.go).
 //
-//	READ:      u32 ds | u32 idx | u32 size                 -> DATA frame
-//	WRITE:     u32 ds | u32 idx | u32 size | bytes         -> OK frame
-//	PING:      (empty) or u32 features                     -> OK frame
-//	DATA:      bytes
-//	OK:        (empty), or u32 features replying to a feature PING
-//	ERR:       utf-8 message
-//	READBATCH:  u32 count | count x (u32 ds | u32 idx | u32 size)
-//	DATABATCH:  u32 count | count x (u32 len | bytes)      (request order)
-//	WRITETAG:   as WRITE                                   -> ACKTAG frame
-//	ACKTAG:     (empty)
-//	ERRTAG:     utf-8 message (tagged reply to a failed tagged request)
-//	WRITEBATCH: u32 count | count x (u32 ds | u32 idx | u32 len | bytes)
-//	ACKBATCH:   u32 count                                  (writes applied)
-//	CHASEBATCH: u32 count | count x (u32 ds | u32 start | u32 objSize |
-//	            u32 nextOff | u32 hops | u64 mask)         -> CHASEDATA
-//	CHASEDATA:  u32 count | count x (u32 status | u64 final | u32 hopCount |
-//	            hopCount x (u32 idx | u32 len | bytes))    (request order)
+// Opcodes (13):
 //
-// Interoperability: untagged frames are byte-identical to the original
-// protocol. A client discovers whether its peer speaks the tagged/batch
-// extension by sending PING with a u32 feature word; a new server echoes
-// its own feature word in the OK payload, while a legacy server returns
-// an empty OK (its PING handler ignores the payload) — so new clients
-// fall back to the serial verbs and legacy clients never see a tagged
-// frame.
+//	PING:             u32 version | u32 features           -> OK (same layout) or ERR
+//	OK:               u32 version | u32 features
+//	ERR:              utf-8 message
+//	ERRTAG:           utf-8 message (tagged reply to a failed tagged request)
+//	READBATCH-C:      compact read tuples                  -> DATABATCH-C   (compact.go)
+//	DATABATCH-C:      compact scatter-gather reply
+//	WRITEBATCH-C:     compact write tuples                 -> ACKBATCH-C
+//	WRITEEPOCHBATCH-C: epoch-stamped compact write tuples  -> ACKBATCH-C
+//	ACKBATCH-C:       count | rejected bitmap
+//	READEPOCHBATCH:   fixed-width read tuples              -> DATAEPOCHBATCH (epoch.go)
+//	DATAEPOCHBATCH:   epoch-stamped scatter-gather reply
+//	CHASEBATCH:       traversal programs                   -> CHASEDATA     (chase.go)
+//	CHASEDATA:        per-program visited paths
 package rdma
 
 import (
@@ -56,43 +52,24 @@ import (
 // Op identifies a frame type.
 type Op uint8
 
-// Frame opcodes.
+// Untagged opcodes: the handshake and its failure reply. The values are
+// those of the original protocol, so a peer of any version decodes the
+// handshake frames.
 const (
-	OpRead Op = iota + 1
-	OpWrite
-	OpPing
-	OpData
-	OpOK
-	OpErr
+	OpPing Op = 3
+	OpOK   Op = 5
+	OpErr  Op = 6
 )
 
 // TagBit marks opcodes whose frames carry a u32 tag after the opcode.
 const TagBit Op = 0x80
 
-// Tagged opcodes (the pipelined/batched extension).
+// Tagged opcodes of the fixed-width families (the compact ones live in
+// compact.go).
 const (
-	// OpReadBatch requests count reads in one frame; the reply is one
-	// OpDataBatch (same tag) with the payloads in request order.
-	OpReadBatch Op = TagBit | 0x01
-	// OpDataBatch is the scatter-gather reply to OpReadBatch.
-	OpDataBatch Op = TagBit | 0x02
-	// OpWriteTag is a tagged WRITE; acknowledged by OpAckTag.
-	OpWriteTag Op = TagBit | 0x03
-	// OpAckTag acknowledges a tagged write.
-	OpAckTag Op = TagBit | 0x04
 	// OpErrTag reports failure of the tagged request with the same tag.
 	OpErrTag Op = TagBit | 0x05
-	// OpWriteBatch carries count writes in one frame — the write-side
-	// doorbell coalescer. The reply is one OpAckBatch (same tag) once
-	// every write in the batch has been applied, in batch order.
-	OpWriteBatch Op = TagBit | 0x06
-	// OpAckBatch acknowledges a WRITEBATCH; its payload echoes the
-	// number of writes applied so the client can detect a torn batch.
-	OpAckBatch Op = TagBit | 0x07
-	// OpWriteEpochBatch is WRITEBATCH with a u64 epoch stamp per tuple
-	// (the replication extension — see epoch.go). Acked by OpAckBatch.
-	OpWriteEpochBatch Op = TagBit | 0x08
-	// OpReadEpochBatch is READBATCH whose reply carries each object's
+	// OpReadEpochBatch is a batch read whose reply carries each object's
 	// stored epoch; answered by OpDataEpochBatch.
 	OpReadEpochBatch Op = TagBit | 0x09
 	// OpDataEpochBatch is the epoch-stamped scatter-gather reply to
@@ -112,34 +89,14 @@ func (o Op) Tagged() bool { return o&TagBit != 0 }
 
 func (o Op) String() string {
 	switch o {
-	case OpRead:
-		return "READ"
-	case OpWrite:
-		return "WRITE"
 	case OpPing:
 		return "PING"
-	case OpData:
-		return "DATA"
 	case OpOK:
 		return "OK"
 	case OpErr:
 		return "ERR"
-	case OpReadBatch:
-		return "READBATCH"
-	case OpDataBatch:
-		return "DATABATCH"
-	case OpWriteTag:
-		return "WRITETAG"
-	case OpAckTag:
-		return "ACKTAG"
 	case OpErrTag:
 		return "ERRTAG"
-	case OpWriteBatch:
-		return "WRITEBATCH"
-	case OpAckBatch:
-		return "ACKBATCH"
-	case OpWriteEpochBatch:
-		return "WRITEEPOCHBATCH"
 	case OpReadEpochBatch:
 		return "READEPOCHBATCH"
 	case OpDataEpochBatch:
@@ -258,62 +215,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// ReadReq is a decoded READ request.
+// ReadReq is one (ds, idx, size) read tuple, as carried by the batch
+// read verbs.
 type ReadReq struct {
 	DS, Idx, Size uint32
-}
-
-// WriteReq is a decoded WRITE request.
-type WriteReq struct {
-	DS, Idx uint32
-	Data    []byte
-}
-
-// EncodeRead builds a READ frame.
-func EncodeRead(ds, idx, size uint32) Frame {
-	p := make([]byte, 12)
-	binary.LittleEndian.PutUint32(p[0:], ds)
-	binary.LittleEndian.PutUint32(p[4:], idx)
-	binary.LittleEndian.PutUint32(p[8:], size)
-	return Frame{Op: OpRead, Payload: p}
-}
-
-// DecodeRead parses a READ payload.
-func DecodeRead(p []byte) (ReadReq, error) {
-	if len(p) != 12 {
-		return ReadReq{}, fmt.Errorf("rdma: bad READ payload length %d", len(p))
-	}
-	return ReadReq{
-		DS:   binary.LittleEndian.Uint32(p[0:]),
-		Idx:  binary.LittleEndian.Uint32(p[4:]),
-		Size: binary.LittleEndian.Uint32(p[8:]),
-	}, nil
-}
-
-// EncodeWrite builds a WRITE frame.
-func EncodeWrite(ds, idx uint32, data []byte) Frame {
-	p := make([]byte, 12+len(data))
-	binary.LittleEndian.PutUint32(p[0:], ds)
-	binary.LittleEndian.PutUint32(p[4:], idx)
-	binary.LittleEndian.PutUint32(p[8:], uint32(len(data)))
-	copy(p[12:], data)
-	return Frame{Op: OpWrite, Payload: p}
-}
-
-// DecodeWrite parses a WRITE payload.
-func DecodeWrite(p []byte) (WriteReq, error) {
-	if len(p) < 12 {
-		return WriteReq{}, fmt.Errorf("rdma: bad WRITE payload length %d", len(p))
-	}
-	n := binary.LittleEndian.Uint32(p[8:])
-	if int(n) != len(p)-12 {
-		return WriteReq{}, fmt.Errorf("rdma: WRITE length mismatch: header %d, actual %d", n, len(p)-12)
-	}
-	return WriteReq{
-		DS:   binary.LittleEndian.Uint32(p[0:]),
-		Idx:  binary.LittleEndian.Uint32(p[4:]),
-		Data: p[12:],
-	}, nil
 }
 
 // ErrFrame builds an ERR frame carrying a message.
@@ -325,254 +230,46 @@ func ErrTagFrame(tag uint32, msg string) Frame {
 	return Frame{Op: OpErrTag, Tag: tag, Payload: []byte(msg)}
 }
 
-// Feature bits exchanged on PING (u32, little endian).
+// ProtocolVersion is the wire dialect this package speaks: CRC-trailed
+// framing after the handshake, the compact batch verbs, the epoch and
+// chase verbs, and the two negotiable features below. Version 1 was the
+// per-feature negotiation protocol whose PING carried a bare feature
+// mask; peers on any other version are refused at the handshake.
+const ProtocolVersion uint32 = 2
+
+// Negotiable features (u32 bit mask in the handshake). Everything else
+// in the dialect is mandatory.
 const (
-	// FeatBatch: the peer understands tagged frames and the
-	// READBATCH/DATABATCH/WRITETAG verbs.
-	FeatBatch uint32 = 1 << 0
-	// FeatCRC: the peer can switch the session to checksummed framing
-	// (a CRC32-C trailer per frame — see crc.go). When both sides
-	// advertise it, every frame after the negotiation exchange carries
-	// the trailer.
-	FeatCRC uint32 = 1 << 1
-	// FeatWriteBatch: the peer understands the WRITEBATCH/ACKBATCH
-	// verbs. A client talking to a peer without this bit falls back to
-	// one WRITETAG frame per write — same wire bytes a legacy peer has
-	// always seen.
-	FeatWriteBatch uint32 = 1 << 2
-	// FeatEpoch: the peer understands the epoch-stamped verbs
-	// (WRITEEPOCHBATCH/READEPOCHBATCH/DATAEPOCHBATCH) that the
-	// replication layer uses to version whole-object images. Sessions
-	// without the bit never see an epoch frame, so legacy peers stay
-	// byte-identical. (FeatTrace = 1<<3 lives in trace.go.)
-	FeatEpoch uint32 = 1 << 4
-	// FeatChase: the peer understands the traversal-offload verbs
-	// (CHASEBATCH/CHASEDATA) that collapse a K-hop pointer chase into
-	// one round trip. Clients talking to peers without the bit fall back
-	// to per-hop reads — the same wire bytes a legacy peer has always
-	// seen.
-	FeatChase uint32 = 1 << 5
+	// FeatTrace: tagged frames carry the trace block (trace.go) — the
+	// client's span context out, the server's timing stamps back.
+	FeatTrace uint32 = 1 << 3
+	// FeatCompress: the peer accepts LZ-compressed segments in compact
+	// batches (compact.go). Off keeps objects raw inside the same
+	// frames, for CPU-bound deployments or benchmarking.
+	FeatCompress uint32 = 1 << 7
+
+	// Features is every negotiable bit.
+	Features = FeatTrace | FeatCompress
 )
 
-// EncodeFeatures packs a feature word into a PING/OK payload.
-func EncodeFeatures(feats uint32) []byte {
-	p := make([]byte, 4)
-	binary.LittleEndian.PutUint32(p, feats)
-	return p
+// helloSize is the handshake payload: u32 version | u32 features.
+const helloSize = 8
+
+// Hello builds a handshake frame (op is OpPing for the client's offer,
+// OpOK for the server's grant) carrying ProtocolVersion and feats.
+func Hello(op Op, feats uint32) Frame {
+	p := make([]byte, helloSize)
+	binary.LittleEndian.PutUint32(p[0:], ProtocolVersion)
+	binary.LittleEndian.PutUint32(p[4:], feats)
+	return Frame{Op: op, Payload: p}
 }
 
-// DecodeFeatures unpacks a feature word; ok is false when the payload
-// carries none (a legacy peer).
-func DecodeFeatures(p []byte) (feats uint32, ok bool) {
-	if len(p) < 4 {
-		return 0, false
+// DecodeHello parses a handshake payload. ok is false when the payload
+// is not a handshake of any version (a version-1 peer's bare feature
+// mask, for instance); the caller compares version itself.
+func DecodeHello(p []byte) (version, feats uint32, ok bool) {
+	if len(p) != helloSize {
+		return 0, 0, false
 	}
-	return binary.LittleEndian.Uint32(p), true
-}
-
-// PingFeatures builds the feature-negotiation PING.
-func PingFeatures(feats uint32) Frame {
-	return Frame{Op: OpPing, Payload: EncodeFeatures(feats)}
-}
-
-// readReqSize is the wire size of one (ds, idx, size) read tuple.
-const readReqSize = 12
-
-// EncodeReadBatch builds a READBATCH frame for the given tuples.
-func EncodeReadBatch(tag uint32, reqs []ReadReq) Frame {
-	p := make([]byte, 4+readReqSize*len(reqs))
-	binary.LittleEndian.PutUint32(p[0:], uint32(len(reqs)))
-	for i, r := range reqs {
-		off := 4 + i*readReqSize
-		binary.LittleEndian.PutUint32(p[off:], r.DS)
-		binary.LittleEndian.PutUint32(p[off+4:], r.Idx)
-		binary.LittleEndian.PutUint32(p[off+8:], r.Size)
-	}
-	return Frame{Op: OpReadBatch, Tag: tag, Payload: p}
-}
-
-// DecodeReadBatch parses a READBATCH payload.
-func DecodeReadBatch(p []byte) ([]ReadReq, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rdma: bad READBATCH payload length %d", len(p))
-	}
-	count := binary.LittleEndian.Uint32(p)
-	if uint64(len(p)) != 4+uint64(count)*readReqSize {
-		return nil, fmt.Errorf("rdma: READBATCH length mismatch: header %d tuples, payload %d bytes",
-			count, len(p))
-	}
-	reqs := make([]ReadReq, count)
-	for i := range reqs {
-		off := 4 + i*readReqSize
-		reqs[i] = ReadReq{
-			DS:   binary.LittleEndian.Uint32(p[off:]),
-			Idx:  binary.LittleEndian.Uint32(p[off+4:]),
-			Size: binary.LittleEndian.Uint32(p[off+8:]),
-		}
-	}
-	return reqs, nil
-}
-
-// DataBatchSize returns the DATABATCH payload size replying to reqs —
-// the value both sides bound against MaxFrame before building a batch.
-func DataBatchSize(reqs []ReadReq) int {
-	n := 4
-	for _, r := range reqs {
-		n += 4 + int(r.Size)
-	}
-	return n
-}
-
-// EncodeDataBatch builds the scatter-gather DATABATCH reply. Segments
-// must be in request order.
-func EncodeDataBatch(tag uint32, segs [][]byte) (Frame, error) {
-	n := 4
-	for _, s := range segs {
-		n += 4 + len(s)
-	}
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("rdma: DATABATCH too large (%d bytes)", n)
-	}
-	p := make([]byte, n)
-	binary.LittleEndian.PutUint32(p[0:], uint32(len(segs)))
-	off := 4
-	for _, s := range segs {
-		binary.LittleEndian.PutUint32(p[off:], uint32(len(s)))
-		off += 4
-		copy(p[off:], s)
-		off += len(s)
-	}
-	return Frame{Op: OpDataBatch, Tag: tag, Payload: p}, nil
-}
-
-// DecodeDataBatch parses a DATABATCH payload into per-request segments
-// (subslices of p — valid while p is).
-func DecodeDataBatch(p []byte) ([][]byte, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rdma: bad DATABATCH payload length %d", len(p))
-	}
-	count := binary.LittleEndian.Uint32(p)
-	// Each segment needs at least its u32 length prefix; a count beyond
-	// that is a forged header — reject before sizing the allocation by it.
-	if uint64(count) > uint64(len(p)-4)/4 {
-		return nil, fmt.Errorf("rdma: DATABATCH count %d exceeds payload", count)
-	}
-	segs := make([][]byte, 0, count)
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		if off+4 > len(p) {
-			return nil, fmt.Errorf("rdma: truncated DATABATCH at segment %d", i)
-		}
-		n := int(binary.LittleEndian.Uint32(p[off:]))
-		off += 4
-		if off+n > len(p) {
-			return nil, fmt.Errorf("rdma: truncated DATABATCH segment %d (%d bytes)", i, n)
-		}
-		segs = append(segs, p[off:off+n])
-		off += n
-	}
-	if off != len(p) {
-		return nil, fmt.Errorf("rdma: DATABATCH trailing garbage (%d bytes)", len(p)-off)
-	}
-	return segs, nil
-}
-
-// writeReqHdrSize is the fixed prefix of one WRITEBATCH tuple:
-// u32 ds | u32 idx | u32 len.
-const writeReqHdrSize = 12
-
-// WriteBatchSize returns the WRITEBATCH payload size for reqs — the
-// value the flusher bounds against MaxFrame before closing a batch.
-func WriteBatchSize(reqs []WriteReq) int {
-	n := 4
-	for _, r := range reqs {
-		n += writeReqHdrSize + len(r.Data)
-	}
-	return n
-}
-
-// EncodeWriteBatch builds a WRITEBATCH frame for the given tuples. The
-// payload is the tuples' WRITE payloads concatenated behind a count, so
-// batching changes framing only — each write's bytes are identical to
-// the WRITETAG fallback a legacy peer receives.
-func EncodeWriteBatch(tag uint32, reqs []WriteReq) (Frame, error) {
-	n := WriteBatchSize(reqs)
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("rdma: WRITEBATCH too large (%d bytes)", n)
-	}
-	p := make([]byte, n)
-	encodeWriteBatchInto(p, reqs)
-	return Frame{Op: OpWriteBatch, Tag: tag, Payload: p}, nil
-}
-
-func encodeWriteBatchInto(p []byte, reqs []WriteReq) {
-	binary.LittleEndian.PutUint32(p[0:], uint32(len(reqs)))
-	off := 4
-	for _, r := range reqs {
-		binary.LittleEndian.PutUint32(p[off:], r.DS)
-		binary.LittleEndian.PutUint32(p[off+4:], r.Idx)
-		binary.LittleEndian.PutUint32(p[off+8:], uint32(len(r.Data)))
-		off += writeReqHdrSize
-		copy(p[off:], r.Data)
-		off += len(r.Data)
-	}
-}
-
-// DecodeWriteBatch parses a WRITEBATCH payload into per-write requests
-// (Data fields are subslices of p — valid while p is).
-func DecodeWriteBatch(p []byte) ([]WriteReq, error) {
-	return DecodeWriteBatchInto(p, nil)
-}
-
-// DecodeWriteBatchInto is DecodeWriteBatch appending into a caller-owned
-// slice, letting a steady-state server reuse one across batches.
-func DecodeWriteBatchInto(p []byte, reqs []WriteReq) ([]WriteReq, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rdma: bad WRITEBATCH payload length %d", len(p))
-	}
-	count := binary.LittleEndian.Uint32(p)
-	// Each tuple needs at least its fixed header; a count beyond that is
-	// a forged header — reject before sizing any allocation by it.
-	if uint64(count) > uint64(len(p)-4)/writeReqHdrSize {
-		return nil, fmt.Errorf("rdma: WRITEBATCH count %d exceeds payload", count)
-	}
-	reqs = reqs[:0]
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		if off+writeReqHdrSize > len(p) {
-			return nil, fmt.Errorf("rdma: truncated WRITEBATCH at tuple %d", i)
-		}
-		n := int(binary.LittleEndian.Uint32(p[off+8:]))
-		r := WriteReq{
-			DS:  binary.LittleEndian.Uint32(p[off:]),
-			Idx: binary.LittleEndian.Uint32(p[off+4:]),
-		}
-		off += writeReqHdrSize
-		if n < 0 || off+n > len(p) {
-			return nil, fmt.Errorf("rdma: truncated WRITEBATCH tuple %d (%d bytes)", i, n)
-		}
-		r.Data = p[off : off+n]
-		off += n
-		reqs = append(reqs, r)
-	}
-	if off != len(p) {
-		return nil, fmt.Errorf("rdma: WRITEBATCH trailing garbage (%d bytes)", len(p)-off)
-	}
-	return reqs, nil
-}
-
-// EncodeAckBatch builds the ACKBATCH reply to a WRITEBATCH of count
-// writes.
-func EncodeAckBatch(tag uint32, count int) Frame {
-	p := make([]byte, 4)
-	binary.LittleEndian.PutUint32(p, uint32(count))
-	return Frame{Op: OpAckBatch, Tag: tag, Payload: p}
-}
-
-// DecodeAckBatch parses an ACKBATCH payload.
-func DecodeAckBatch(p []byte) (int, error) {
-	if len(p) != 4 {
-		return 0, fmt.Errorf("rdma: bad ACKBATCH payload length %d", len(p))
-	}
-	return int(binary.LittleEndian.Uint32(p)), nil
+	return binary.LittleEndian.Uint32(p[0:]), binary.LittleEndian.Uint32(p[4:]), true
 }

@@ -9,7 +9,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{Op: OpData, Payload: []byte("hello far memory")}
+	in := Frame{Op: OpErr, Payload: []byte("hello far memory")}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestEmptyPayload(t *testing.T) {
 
 func TestOversizedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Op: OpData, Payload: make([]byte, MaxFrame+1)}); err == nil {
+	if err := WriteFrame(&buf, Frame{Op: OpErr, Payload: make([]byte, MaxFrame+1)}); err == nil {
 		t.Fatal("oversized write should fail")
 	}
 	// Forged oversized header.
-	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(OpData)}
+	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(OpErr)}
 	if _, err := ReadFrame(bytes.NewReader(forged)); err == nil {
 		t.Fatal("oversized read should fail")
 	}
@@ -47,7 +47,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Op: OpData, Payload: []byte("abcdef")})
+	WriteFrame(&buf, Frame{Op: OpErr, Payload: []byte("abcdef")})
 	raw := buf.Bytes()
 	if _, err := ReadFrame(bytes.NewReader(raw[:3])); err == nil {
 		t.Fatal("truncated header should fail")
@@ -57,75 +57,110 @@ func TestTruncatedFrame(t *testing.T) {
 	}
 }
 
+// TestReadReqCodec pins the fixed-width (ds, idx, size) read tuple
+// that READEPOCHBATCH carries: 12 bytes per tuple behind a u32 count.
 func TestReadReqCodec(t *testing.T) {
-	f := EncodeRead(3, 77, 4096)
-	if f.Op != OpRead {
-		t.Fatal("wrong op")
+	f := EncodeReadEpochBatch(5, []ReadReq{{DS: 3, Idx: 77, Size: 4096}})
+	if f.Op != OpReadEpochBatch || len(f.Payload) != 4+readReqSize {
+		t.Fatalf("frame = %+v", f)
 	}
-	req, err := DecodeRead(f.Payload)
+	reqs, err := DecodeReadEpochBatch(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.DS != 3 || req.Idx != 77 || req.Size != 4096 {
-		t.Fatalf("req = %+v", req)
+	if len(reqs) != 1 || reqs[0] != (ReadReq{DS: 3, Idx: 77, Size: 4096}) {
+		t.Fatalf("reqs = %+v", reqs)
 	}
-	if _, err := DecodeRead([]byte{1, 2}); err == nil {
+	if _, err := DecodeReadEpochBatch([]byte{1, 2}); err == nil {
 		t.Fatal("short payload should fail")
 	}
 }
 
+// TestWriteReqCodec pins a full-object compact write tuple: it round
+// trips, and a truncated or padded payload is rejected.
 func TestWriteReqCodec(t *testing.T) {
 	data := []byte{9, 8, 7, 6}
-	f := EncodeWrite(1, 2, data)
-	req, err := DecodeWrite(f.Payload)
+	f, err := EncodeWriteBatchCPooled(4, []WriteReqC{{DS: 1, Idx: 2, Scheme: SchemeRaw, RawLen: 4, Data: data}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.DS != 1 || req.Idx != 2 || !bytes.Equal(req.Data, data) {
-		t.Fatalf("req = %+v", req)
+	reqs, _, err := DecodeWriteBatchCInto(f.Payload, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeWrite([]byte{0}); err == nil {
-		t.Fatal("short payload should fail")
+	if len(reqs) != 1 || reqs[0].DS != 1 || reqs[0].Idx != 2 || !bytes.Equal(reqs[0].Data, data) {
+		t.Fatalf("reqs = %+v", reqs)
 	}
-	// Length mismatch.
-	bad := append([]byte(nil), f.Payload...)
-	bad = append(bad, 0xEE)
-	if _, err := DecodeWrite(bad); err == nil {
-		t.Fatal("length mismatch should fail")
+	if _, _, err := DecodeWriteBatchCInto(f.Payload[:len(f.Payload)-1], nil, nil, false); err == nil {
+		t.Fatal("truncated payload should fail")
+	}
+	bad := append(append([]byte(nil), f.Payload...), 0xEE)
+	if _, _, err := DecodeWriteBatchCInto(bad, nil, nil, false); err == nil {
+		t.Fatal("trailing garbage should fail")
 	}
 }
 
 func TestOpStrings(t *testing.T) {
-	for _, op := range []Op{OpRead, OpWrite, OpPing, OpData, OpOK, OpErr} {
+	for _, op := range allOps {
 		if strings.HasPrefix(op.String(), "op(") {
 			t.Errorf("missing name for op %d", op)
 		}
 	}
+	if len(allOps) != 13 {
+		t.Errorf("protocol defines %d opcodes, want 13", len(allOps))
+	}
 	if !strings.HasPrefix(Op(99).String(), "op(") {
 		t.Error("unknown op should fall back")
 	}
+	// The verbs of the version-1 protocol are gone: their opcodes must
+	// decode as unknown so a peer's server rejects them.
+	for _, op := range deletedOps {
+		if !strings.HasPrefix(op.String(), "op(") {
+			t.Errorf("deleted opcode %d still named %s", uint8(op), op)
+		}
+	}
 }
 
-// Property: arbitrary write-request payloads roundtrip through the codec.
+// allOps is every opcode of the protocol.
+var allOps = []Op{
+	OpPing, OpOK, OpErr, OpErrTag,
+	OpReadEpochBatch, OpDataEpochBatch, OpChaseBatch, OpChaseData,
+	OpReadBatchC, OpDataBatchC, OpWriteBatchC, OpWriteEpochBatchC, OpAckBatchC,
+}
+
+// deletedOps are the opcode values of the version-1 verbs (READ, WRITE,
+// DATA, READBATCH, DATABATCH, WRITETAG, ACKTAG, WRITEBATCH, ACKBATCH,
+// WRITEEPOCHBATCH); a version-2 peer treats them as unexpected.
+var deletedOps = []Op{1, 2, 4, TagBit | 0x01, TagBit | 0x02, TagBit | 0x03, TagBit | 0x04,
+	TagBit | 0x06, TagBit | 0x07, TagBit | 0x08}
+
+// Property: arbitrary full-object writes roundtrip through frame +
+// compact codec.
 func TestWriteCodecProperty(t *testing.T) {
 	f := func(ds, idx uint32, data []byte) bool {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
-		fr := EncodeWrite(ds, idx, data)
+		fr, err := EncodeWriteBatchCPooled(1, []WriteReqC{{DS: ds, Idx: idx, Scheme: SchemeRaw,
+			RawLen: uint32(len(data)), Data: data}}, false)
+		if err != nil {
+			return false
+		}
 		var buf bytes.Buffer
-		if WriteFrame(&buf, fr) != nil {
+		if WriteFrameCRC(&buf, fr) != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		PutBuf(fr.Payload)
+		got, err := ReadFrameCRC(&buf)
 		if err != nil {
 			return false
 		}
-		req, err := DecodeWrite(got.Payload)
-		if err != nil {
+		reqs, _, err := DecodeWriteBatchCInto(got.Payload, nil, nil, false)
+		if err != nil || len(reqs) != 1 {
 			return false
 		}
-		return req.DS == ds && req.Idx == idx && bytes.Equal(req.Data, data)
+		r := reqs[0]
+		return r.DS == ds && r.Idx == idx && bytes.Equal(r.Data, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -6,13 +6,12 @@ import (
 	"io"
 )
 
-// Trace extension. Peers that both advertise FeatTrace switch the
-// session to extended tagged framing right after feature negotiation:
-// every tagged frame then carries a fixed traceExtSize-byte trace block
-// between the tag and the payload. Like the tag, the block is never
-// counted in payloadLen, and untagged frames (the negotiation exchange,
-// the serial verbs) never carry it — so a session without FeatTrace is
-// byte-identical to the legacy protocol by construction.
+// Trace extension. When the handshake grants FeatTrace (rdma.go), the
+// session uses extended tagged framing: every tagged frame carries a
+// fixed traceExtSize-byte trace block between the tag and the payload.
+// Like the tag, the block is never counted in payloadLen, and untagged
+// frames (the handshake, ERR) never carry it — so a session without
+// FeatTrace is byte-identical to one whose client never asked for it.
 //
 //	u32 payloadLen | u8 op | u32 tag | 20B trace ext | payload
 //
@@ -30,11 +29,6 @@ import (
 // server-queue / server-service without any clock synchronization.
 // Frames of an unsampled op carry an all-zero request block: keeping the
 // framing fixed-size means readers never branch on content.
-
-// FeatTrace: the peer understands extended tagged framing — a fixed
-// trace block on every tagged frame — and (server side) stamps replies
-// with receive/dispatch/complete timing.
-const FeatTrace uint32 = 1 << 3
 
 // traceExtSize is the fixed size of the trace block.
 const traceExtSize = 20
@@ -82,28 +76,12 @@ func (f *Frame) ServerStamp() (recvUS uint64, queueUS, serviceUS uint32) {
 	return
 }
 
-// ReadFrameOpts reads one frame under the session's negotiated framing:
-// crc selects the checksum trailer, trace the tagged-frame trace block.
-// The payload is heap-allocated; see ReadFramePooledOpts for the pooled
-// variant the data paths use.
-func ReadFrameOpts(r io.Reader, crc, trace bool) (Frame, error) {
-	f, err := ReadFramePooledOpts(r, crc, trace)
-	if err != nil {
-		return Frame{}, err
-	}
-	if f.Payload != nil {
-		p := make([]byte, len(f.Payload))
-		copy(p, f.Payload)
-		PutBuf(f.Payload)
-		f.Payload = p
-	}
-	return f, nil
-}
-
-// ReadFramePooledOpts is the session-aware pooled frame reader: crc
-// selects checksummed framing, trace the tagged-frame trace block. The
-// caller owns f.Payload and should PutBuf it once consumed.
-func ReadFramePooledOpts(r io.Reader, crc, trace bool) (Frame, error) {
+// ReadFramePooled reads one session frame — everything after the
+// handshake: the CRC32-C trailer is always verified, and trace selects
+// the tagged-frame trace block of a FeatTrace session. The payload is
+// drawn from the frame buffer pool; the caller owns f.Payload and should
+// PutBuf it once consumed.
+func ReadFramePooled(r io.Reader, trace bool) (Frame, error) {
 	// Header scratch from the pool: a stack array would escape through
 	// the io.Reader interface call and allocate on every frame.
 	hdr := GetBuf(headerSize + tagSize + traceExtSize)
@@ -137,17 +115,15 @@ func ReadFramePooledOpts(r io.Reader, crc, trace bool) (Frame, error) {
 			return Frame{}, err
 		}
 	}
-	if crc {
-		tr := GetBuf(crcSize)
-		defer PutBuf(tr)
-		if _, err := io.ReadFull(r, tr); err != nil {
-			PutBuf(f.Payload)
-			return Frame{}, err
-		}
-		if got := binary.LittleEndian.Uint32(tr); got != frameCRC(f) {
-			PutBuf(f.Payload)
-			return Frame{}, fmt.Errorf("%w (frame %s)", ErrCRC, f.Op)
-		}
+	tr := GetBuf(crcSize)
+	defer PutBuf(tr)
+	if _, err := io.ReadFull(r, tr); err != nil {
+		PutBuf(f.Payload)
+		return Frame{}, err
+	}
+	if got := binary.LittleEndian.Uint32(tr); got != frameCRC(f) {
+		PutBuf(f.Payload)
+		return Frame{}, fmt.Errorf("%w (frame %s)", ErrCRC, f.Op)
 	}
 	return f, nil
 }

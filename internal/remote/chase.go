@@ -2,7 +2,6 @@ package remote
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"time"
@@ -11,17 +10,12 @@ import (
 	"cards/internal/rdma"
 )
 
-// Traversal offload (the FeatChase extension). A CHASEBATCH ships one or
+// Traversal offload. A CHASEBATCH ships one or
 // more compact traversal programs to the server, which walks each chain
 // in its local store and answers with the whole path in one CHASEDATA —
 // collapsing K dependent round trips into one. Chases are read-only and
 // ride the ordinary read window: same doorbell coalescing, same tag
-// demux, and the same idempotent replay on reconnect as READBATCH.
-
-// ErrChaseUnsupported reports a chase issued against a peer (or through
-// a fallback client) that never negotiated rdma.FeatChase. It is
-// definitive for the current session: callers degrade to per-hop reads.
-var ErrChaseUnsupported = errors.New("remote: peer does not support traversal offload")
+// demux, and the same idempotent replay on reconnect as plain reads.
 
 // Wire overhead the flusher charges per chase program when bounding a
 // batch against rdma.MaxFrame: the reply's fixed result header
@@ -67,14 +61,9 @@ type AsyncChaseStore interface {
 	IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error))
 }
 
-// ChaseCapable reports whether the live session negotiated the chase
-// verbs. A false result can flip true after a reconnect (and vice
-// versa); callers treat it as advisory and handle ErrChaseUnsupported.
-func (c *PipelinedClient) ChaseCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && c.chaseOK
-}
+// ChaseCapable implements farmem.AsyncChaseStore: every session speaks
+// the chase verbs, so offload is available while the client is alive.
+func (c *PipelinedClient) ChaseCapable() bool { return c.Alive() }
 
 // IssueChase implements AsyncChaseStore: the program is enqueued like a
 // read and done is invoked exactly once (possibly on the reader
@@ -103,31 +92,21 @@ func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	return op.cres, err
 }
 
-// ChaseCapable reports whether the current underlying client speaks the
-// chase verbs (false when the fallback serial client is in use, or no
-// client can be dialed).
+// ChaseCapable reports whether offload is available: a live client can
+// be had (dialing a replacement if the previous one was retired).
 func (r *Resilient) ChaseCapable() bool {
-	c, err := r.client()
-	if err != nil {
-		return false
-	}
-	pc, ok := c.(*PipelinedClient)
-	return ok && pc.ChaseCapable()
+	pc, err := r.client()
+	return err == nil && pc.Alive()
 }
 
 // Chase implements ChaseStore over the replaceable client.
 func (r *Resilient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		return rdma.ChaseResult{}, err
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		return rdma.ChaseResult{}, ErrChaseUnsupported
-	}
 	res, err := pc.Chase(req)
-	if err != nil && !errors.Is(err, ErrChaseUnsupported) {
+	if err != nil {
 		r.retire(pc)
 	}
 	return res, err
@@ -135,19 +114,13 @@ func (r *Resilient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 
 // IssueChase implements AsyncChaseStore over the replaceable client.
 func (r *Resilient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(rdma.ChaseResult{}, ErrChaseUnsupported)
-		return
-	}
 	pc.IssueChase(req, func(res rdma.ChaseResult, err error) {
-		if err != nil && !errors.Is(err, ErrChaseUnsupported) {
+		if err != nil {
 			r.retire(pc)
 		}
 		done(res, err)

@@ -1,8 +1,9 @@
 package remote
 
-// The FeatCompact wire tier, server side and shared policy: bit-packed
-// batch frames (rdma/compact.go), adaptive per-object compression, and
-// dirty-range write-back with read-modify-write application.
+// The compact wire tier, server side and shared policy: bit-packed
+// batch frames (rdma/compact.go) that carry every plain read and every
+// write, adaptive per-object compression, and dirty-range write-back
+// with read-modify-write application.
 //
 // Compression is decided online, per data structure: both endpoints
 // track an EWMA of the observed wire/raw ratio and stop attempting
@@ -32,7 +33,7 @@ import (
 	"cards/internal/stats"
 )
 
-// Wire-efficiency series (the FeatCompact tier).
+// Wire-efficiency series (the compact tier).
 const (
 	// MetricWireBytes counts bytes on the wire per frame verb
 	// (label "verb"), both directions, payload framing included.
@@ -72,9 +73,7 @@ type wireMetrics struct {
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	ops := []rdma.Op{
-		rdma.OpReadBatch, rdma.OpDataBatch, rdma.OpWriteBatch, rdma.OpAckBatch,
-		rdma.OpWriteTag, rdma.OpAckTag,
-		rdma.OpReadEpochBatch, rdma.OpDataEpochBatch, rdma.OpWriteEpochBatch,
+		rdma.OpReadEpochBatch, rdma.OpDataEpochBatch,
 		rdma.OpChaseBatch, rdma.OpChaseData,
 		rdma.OpReadBatchC, rdma.OpDataBatchC, rdma.OpWriteBatchC,
 		rdma.OpWriteEpochBatchC, rdma.OpAckBatchC,
@@ -229,8 +228,8 @@ func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Exte
 	}
 }
 
-// serveBatchC handles one READBATCH-C frame on a worker goroutine: the
-// compact twin of serveBatch. Each object is staged, classified (zero /
+// serveBatchC handles one READBATCH-C frame on a worker goroutine. Each
+// object is staged, classified (zero /
 // compressed / raw — compression only when the session negotiated
 // FeatCompress and the adaptive policy expects the DS to shrink), and
 // packed into one DATABATCH-C reply by the worker's pooled builder.
@@ -298,7 +297,7 @@ func (s *Server) serveBatchC(j batchJob, connID int, send func(rdma.Frame) error
 		send(resp)
 		return reqs
 	}
-	s.observeBatch(connID, len(reqs), start, startUS, reqTrace(f))
+	s.observeBatch(f.Op, connID, len(reqs), start, startUS, reqTrace(f))
 	s.metrics.wire.add(resp.Op, resp.WireSize())
 	s.stamp(&resp, trace, j.recv, start)
 	send(resp)
@@ -414,7 +413,7 @@ func (s *Server) serveWriteBatchC(j batchJob, connID int, send func(rdma.Frame) 
 			s.Store.WriteRange(r.DS, r.Idx, r.ObjSize, r.Extents, raw)
 		}
 	}
-	s.observeWriteBatch(connID, len(reqs), start, startUS, reqTrace(f))
+	s.observeWriteBatch(f.Op, connID, len(reqs), start, startUS, reqTrace(f))
 	resp := rdma.EncodeAckBatchC(f.Tag, len(reqs), rej)
 	s.metrics.wire.add(resp.Op, resp.WireSize())
 	s.stamp(&resp, trace, j.recv, start)
@@ -423,10 +422,10 @@ func (s *Server) serveWriteBatchC(j batchJob, connID int, send func(rdma.Frame) 
 }
 
 // RangeWriteStore is the asynchronous dirty-range write-back surface:
-// src is the full object image (the fallback when the session lacks
-// FeatCompact, and the base the extents index into), exts the modified
-// byte ranges, sorted and non-overlapping. src must stay valid until
-// done runs; done must not block.
+// src is the full object image (the base the extents index into, and
+// what ships when a full write is no worse), exts the modified byte
+// ranges, sorted and non-overlapping. src must stay valid until done
+// runs; done must not block.
 type RangeWriteStore interface {
 	IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error))
 }
@@ -446,11 +445,9 @@ func rangeWritable(src []byte, exts []rdma.Extent) bool {
 }
 
 // IssueWriteRanges implements RangeWriteStore: the write rides the
-// pipeline like IssueWrite, but on a FeatCompact session only the
-// extents' bytes ship (spliced server-side read-modify-write). The
-// flusher falls back to the full object when the live session lacks
-// the feature — correctness never depends on negotiation. exts must
-// stay valid until done runs, like src.
+// pipeline like IssueWrite, but only the extents' bytes ship (spliced
+// server-side read-modify-write). exts must stay valid until done runs,
+// like src.
 func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	if !rangeWritable(src, exts) {
 		c.IssueWrite(ds, idx, src, done)
@@ -479,23 +476,14 @@ func (c *PipelinedClient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src [
 }
 
 // IssueWriteRanges implements RangeWriteStore over the replaceable
-// client; a fallback serial client ships the full object.
+// client.
 func (r *Resilient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		done(err)
 		return
 	}
-	if pc, ok := c.(*PipelinedClient); ok {
-		pc.IssueWriteRanges(ds, idx, src, exts, func(err error) {
-			if err != nil {
-				r.retire(pc)
-			}
-			done(err)
-		})
-		return
-	}
-	r.IssueWrite(ds, idx, src, done)
+	pc.IssueWriteRanges(ds, idx, src, exts, r.retireOnErr(pc, done))
 }
 
 // IssueWriteRangesEpoch forwards the epoch-stamped range write over the
@@ -503,15 +491,9 @@ func (r *Resilient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent
 // from a healthy session (the peer's base image missed an epoch), so it
 // does not retire the client; transport failures do.
 func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		done(err)
-		return
-	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(ErrEpochUnsupported)
 		return
 	}
 	pc.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, func(err error) {
@@ -586,12 +568,4 @@ func (c *PipelinedClient) compactWriteReq(op *pipeOp, compress bool, bufs *[][]b
 	r.RawLen = uint32(len(src))
 	r.Data = wire
 	return r
-}
-
-// CompactCapable reports whether the live session negotiated the
-// compact wire tier (advisory, like EpochCapable).
-func (c *PipelinedClient) CompactCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && c.compact
 }

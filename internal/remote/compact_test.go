@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
@@ -31,9 +30,6 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	reg := obs.NewRegistry()
 	srv, cl := startPipelined(t, PipelineOpts{Obs: reg})
-	if !cl.CompactCapable() {
-		t.Fatal("session against the current server should negotiate the compact tier")
-	}
 
 	objs := map[[2]int][]byte{
 		{1, 0}: compressible(512),
@@ -255,133 +251,5 @@ func TestCompactRangeWriteEpoch(t *testing.T) {
 	}
 	if got := srv.Store.Read(4, 1, 512); !bytes.Equal(got, newer) {
 		t.Fatal("obsolete range write must not clobber the newer image")
-	}
-}
-
-// TestPipelinedCompactDowngradeAgainstPreCompactServer mirrors the
-// trace downgrade test for the compact tier: a default client always
-// asks for FeatCompact|FeatCompress, but a pre-compact server's
-// feature reply omits them — the session must downgrade to the
-// fixed-width batch frames and keep working, a forced disconnect must
-// renegotiate to the same downgrade, and every frame the downgraded
-// client sends must be byte-identical to what a client with the
-// compact tier never configured sends for the same ops.
-func TestPipelinedCompactDowngradeAgainstPreCompactServer(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
-
-	compactAddr, compactMu, compactCap, compactConns := preTraceListener(t)
-	plainAddr, plainMu, plainCap, _ := preTraceListener(t)
-
-	opts := PipelineOpts{
-		Timeout:   time.Second,
-		RetryMax:  4,
-		RetryBase: 5 * time.Millisecond,
-	}
-	copts := opts
-	copts.NoCompact = true
-	copts.Compression = "off"
-	asking, err := DialPipelined(compactAddr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer asking.Close()
-	control, err := DialPipelined(plainAddr, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer control.Close()
-
-	if asking.featReq&rdma.FeatCompact == 0 || asking.featReq&rdma.FeatCompress == 0 {
-		t.Fatal("default client should request the compact tier on every negotiation")
-	}
-	if control.featReq&(rdma.FeatCompact|rdma.FeatCompress) != 0 {
-		t.Fatal("control client must not request the compact tier")
-	}
-	if asking.CompactCapable() {
-		t.Fatal("pre-compact server cannot parse compact frames: session must downgrade")
-	}
-
-	// The same op sequence on both clients, one op at a time so each op
-	// is exactly one wire frame and the two streams stay comparable.
-	chase := func(c *PipelinedClient) {
-		t.Helper()
-		buf := make([]byte, 2)
-		if err := c.ReadObj(1, 7, buf); err != nil || buf[0] != 0xAB || buf[1] != 0xCD {
-			t.Fatalf("downgraded session read = %x, %v", buf, err)
-		}
-		if err := c.WriteObj(1, 8, []byte{0x11, 0x22, 0x33}); err != nil {
-			t.Fatalf("downgraded session write: %v", err)
-		}
-		one := make([]byte, 3)
-		if err := c.ReadObj(1, 8, one); err != nil || one[0] != 0x11 {
-			t.Fatalf("read-back = %x, %v", one, err)
-		}
-	}
-	chase(asking)
-	chase(control)
-
-	compactMu.Lock()
-	askingBytes := append([]byte(nil), compactCap.Bytes()...)
-	compactMu.Unlock()
-	plainMu.Lock()
-	controlBytes := append([]byte(nil), plainCap.Bytes()...)
-	plainMu.Unlock()
-	askingOps := skipFirstFrame(t, askingBytes)
-	controlOps := skipFirstFrame(t, controlBytes)
-	if !bytes.Equal(askingOps, controlOps) {
-		t.Fatalf("downgraded session not byte-exact with legacy framing:\n asking %x\n legacy %x",
-			askingOps, controlOps)
-	}
-
-	// Kill the server side: the next read breaks, redials, and
-	// renegotiates with the full ask — landing on the same downgrade.
-	compactMu.Lock()
-	for _, c := range *compactConns {
-		c.Close()
-	}
-	*compactConns = (*compactConns)[:0]
-	compactMu.Unlock()
-	buf := make([]byte, 2)
-	if err := asking.ReadObj(1, 7, buf); err != nil {
-		t.Fatalf("read after forced disconnect should retry through redial: %v", err)
-	}
-	if buf[0] != 0xAB || buf[1] != 0xCD {
-		t.Fatalf("post-redial read = %x", buf)
-	}
-	if asking.CompactCapable() {
-		t.Fatal("renegotiation against the pre-compact server must downgrade again")
-	}
-	if asking.featReq&rdma.FeatCompact == 0 {
-		t.Fatal("the downgrade must not clear the per-connection compact ask")
-	}
-}
-
-// TestCompactRangeWriteDowngradeFallsBackToFullObject: a range write
-// issued against a session without FeatCompact must transparently ship
-// the full object image.
-func TestCompactRangeWriteDowngradeFallsBackToFullObject(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
-	addr, _, _, _ := preTraceListener(t)
-	cl, err := DialPipelined(addr, PipelineOpts{Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.CompactCapable() {
-		t.Fatal("pre-compact server must not negotiate compact")
-	}
-	img := compressible(256)
-	img[30] = 0x77
-	errCh := make(chan error, 1)
-	cl.IssueWriteRanges(2, 2, img, []rdma.Extent{{Off: 30, Len: 1}}, func(err error) { errCh <- err })
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 256)
-	if err := cl.ReadObj(2, 2, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, img) {
-		t.Fatal("fallback full-object write must land the whole image")
 	}
 }

@@ -1,34 +1,22 @@
 package remote
 
 import (
-	"errors"
 	"time"
 
 	"cards/internal/rdma"
 )
 
-// Epoch-stamped operations (the FeatEpoch extension). The replication
-// layer versions whole-object images with a monotonically increasing
-// epoch so a replica can tell stale state from current without byte
-// comparison. The verbs ride the ordinary pipelined windows — same
-// doorbell coalescing, same tag demux, same ErrUncertainWrite fault
-// accounting — in their own frames, and only on sessions whose peer
-// advertised rdma.FeatEpoch.
+// Epoch-stamped operations. The replication layer versions whole-object
+// images with a monotonically increasing epoch so a replica can tell
+// stale state from current without byte comparison. The ops ride the
+// ordinary pipelined windows — same doorbell coalescing, same tag
+// demux, same ErrUncertainWrite fault accounting — in their own frames:
+// reads as READEPOCHBATCH, writes as WRITEEPOCHBATCH-C.
 
-// ErrEpochUnsupported reports an epoch-stamped operation issued against
-// a peer (or through a fallback client) that never negotiated
-// rdma.FeatEpoch. It is definitive: retrying on the same session cannot
-// succeed.
-var ErrEpochUnsupported = errors.New("remote: peer does not support epoch-stamped verbs")
-
-// Wire overhead the flusher charges per epoch op when bounding a batch
-// against rdma.MaxFrame: the reply segment header of an epoch read
-// (u64 epoch | u32 len) and the tuple header of an epoch write
-// (u32 ds | u32 idx | u64 epoch | u32 len).
-const (
-	epochRespHdrSize  = 12
-	epochTupleHdrSize = 20
-)
+// epochRespHdrSize is the reply segment header of an epoch read
+// (u64 epoch | u32 len), which the flusher charges per op when bounding
+// a batch against rdma.MaxFrame.
+const epochRespHdrSize = 12
 
 // EpochStore is the synchronous epoch-stamped client surface the
 // replica layer builds on.
@@ -50,15 +38,6 @@ type EpochStore interface {
 type AsyncEpochStore interface {
 	IssueReadEpoch(ds, idx int, dst []byte, done func(epoch uint64, err error))
 	IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error))
-}
-
-// EpochCapable reports whether the live session negotiated the epoch
-// verbs. A false result can flip true after a reconnect (and vice
-// versa); callers treat it as advisory and handle ErrEpochUnsupported.
-func (c *PipelinedClient) EpochCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && c.epochOK
 }
 
 // IssueReadEpoch is IssueRead returning the object's stored epoch
@@ -100,28 +79,11 @@ func (c *PipelinedClient) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) e
 	return <-op.ch
 }
 
-// EpochCapable reports whether the current underlying client speaks the
-// epoch verbs (false when the fallback serial client is in use, or no
-// client can be dialed).
-func (r *Resilient) EpochCapable() bool {
-	c, err := r.client()
-	if err != nil {
-		return false
-	}
-	pc, ok := c.(*PipelinedClient)
-	return ok && pc.EpochCapable()
-}
-
 // ReadObjEpoch implements EpochStore over the replaceable client.
 func (r *Resilient) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		return 0, err
-	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		return 0, ErrEpochUnsupported
 	}
 	epoch, err := pc.ReadObjEpoch(ds, idx, dst)
 	if err != nil {
@@ -132,34 +94,15 @@ func (r *Resilient) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
 
 // WriteObjEpoch implements EpochStore over the replaceable client.
 func (r *Resilient) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error {
-	c, err := r.client()
-	if err != nil {
-		return err
-	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		return ErrEpochUnsupported
-	}
-	if err := pc.WriteObjEpoch(ds, idx, epoch, src); err != nil {
-		r.retire(pc)
-		return err
-	}
-	return nil
+	return r.do(func(pc *PipelinedClient) error { return pc.WriteObjEpoch(ds, idx, epoch, src) })
 }
 
 // IssueReadEpoch implements AsyncEpochStore over the replaceable
 // client.
 func (r *Resilient) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, error)) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		done(0, err)
-		return
-	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(0, ErrEpochUnsupported)
 		return
 	}
 	pc.IssueReadEpoch(ds, idx, dst, func(epoch uint64, err error) {
@@ -173,23 +116,12 @@ func (r *Resilient) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, er
 // IssueWriteEpoch implements AsyncEpochStore over the replaceable
 // client.
 func (r *Resilient) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error)) {
-	c, err := r.client()
+	pc, err := r.client()
 	if err != nil {
 		done(err)
 		return
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(ErrEpochUnsupported)
-		return
-	}
-	pc.IssueWriteEpoch(ds, idx, epoch, src, func(err error) {
-		if err != nil {
-			r.retire(pc)
-		}
-		done(err)
-	})
+	pc.IssueWriteEpoch(ds, idx, epoch, src, r.retireOnErr(pc, done))
 }
 
 // serveReadEpochBatch handles one READEPOCHBATCH frame on a worker
@@ -228,44 +160,10 @@ func (s *Server) serveReadEpochBatch(j batchJob, connID int, send func(rdma.Fram
 		slot := w.NextDeferred(int(r.Size))
 		w.StampEpoch(s.Store.ReadEpochInto(r.DS, r.Idx, slot))
 	}
-	s.observeBatch(connID, len(reqs), start, startUS, reqTrace(f))
+	s.observeBatch(f.Op, connID, len(reqs), start, startUS, reqTrace(f))
 	resp := w.Frame(f.Tag)
 	s.stamp(&resp, trace, j.recv, start)
 	send(resp)
 	rdma.PutBuf(p)
-	return reqs
-}
-
-// serveWriteEpochBatch handles one WRITEEPOCHBATCH frame on a worker
-// goroutine: conditionally apply every write in batch order (stale
-// epochs are dropped — see ObjectStore.WriteEpoch), then acknowledge
-// the whole batch with one ACKBATCH. A dropped stale write still
-// counts as acknowledged: the object is at an epoch at least as new,
-// which is what the sender's replay logic needs to know.
-func (s *Server) serveWriteEpochBatch(j batchJob, connID int, send func(rdma.Frame) error, trace bool, scratch []rdma.WriteEpochReq) []rdma.WriteEpochReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	s.metrics.wire.add(f.Op, f.WireSize())
-	reqs, err := rdma.DecodeWriteEpochBatchInto(f.Payload, scratch)
-	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
-	}
-	for _, r := range reqs {
-		s.Store.WriteEpoch(r.DS, r.Idx, r.Epoch, r.Data)
-	}
-	s.observeWriteBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	resp := rdma.EncodeAckBatch(f.Tag, len(reqs))
-	s.metrics.wire.add(resp.Op, resp.WireSize())
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
 	return reqs
 }

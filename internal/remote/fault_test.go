@@ -1,12 +1,14 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,8 +18,9 @@ import (
 )
 
 // TestSerialClientDeadline: a server that accepts and then never
-// replies must not hang the serial client forever — the round trip
-// returns ErrTimeout (which also matches os.ErrDeadlineExceeded).
+// replies must not hang a client forever — with a deadline set, the
+// handshake round trip returns ErrTimeout (which also matches
+// os.ErrDeadlineExceeded).
 func TestSerialClientDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -33,15 +36,11 @@ func TestSerialClientDeadline(t *testing.T) {
 		io.Copy(io.Discard, conn) // swallow the request, never answer
 	}()
 
-	c, err := DialOpts(ln.Addr().String(), ClientOpts{Timeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	start := time.Now()
-	err = c.Ping()
+	c, err := dialSerial(ln.Addr().String(), PipelineOpts{Timeout: 50 * time.Millisecond})
 	if err == nil {
-		t.Fatal("ping against a mute server should time out")
+		c.Close()
+		t.Fatal("dial against a mute server should time out")
 	}
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -54,8 +53,9 @@ func TestSerialClientDeadline(t *testing.T) {
 	}
 }
 
-// TestSerialClientRetriesThroughCuts: reads and pings retry across
-// injected disconnects and all complete correctly.
+// TestSerialClientRetriesThroughCuts: serial reads (one blocking op at
+// a time) retry across injected disconnects and all complete
+// correctly.
 func TestSerialClientRetriesThroughCuts(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	srv := NewServer()
@@ -75,7 +75,7 @@ func TestSerialClientRetriesThroughCuts(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	c, err := DialOpts(proxy.Addr(), ClientOpts{
+	c, err := dialSerial(proxy.Addr(), PipelineOpts{
 		Timeout:   time.Second,
 		RetryMax:  50,
 		RetryBase: time.Millisecond,
@@ -101,10 +101,11 @@ func TestSerialClientRetriesThroughCuts(t *testing.T) {
 	}
 }
 
-// TestSerialClientCRCSurvivesCorruption: a fault-tolerant serial dial
-// negotiates checksummed framing, so byte flips on the link surface as
-// transport errors (retried on a fresh conn) instead of desynchronizing
-// the stream into a definitive — and fatal — "unexpected op" ERR reply.
+// TestSerialClientCRCSurvivesCorruption: every session is checksummed,
+// so byte flips on the link surface as transport errors (replayed on a
+// fresh conn) instead of desynchronizing the stream into a definitive —
+// and fatal — "unexpected op" ERR reply. A flip in the plain-framed
+// handshake fails that dial attempt, which retries.
 func TestSerialClientCRCSurvivesCorruption(t *testing.T) {
 	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -123,7 +124,7 @@ func TestSerialClientCRCSurvivesCorruption(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	c, err := DialOpts(proxy.Addr(), ClientOpts{
+	c, err := dialSerial(proxy.Addr(), PipelineOpts{
 		// A short deadline bounds the wedged-stream case: a corrupted
 		// length field can leave the server blocked mid-frame.
 		Timeout:   300 * time.Millisecond,
@@ -151,32 +152,53 @@ func TestSerialClientCRCSurvivesCorruption(t *testing.T) {
 	}
 }
 
-// TestSerialWriteUncertain: a write that dies mid round trip must NOT
-// be silently retried — the caller gets ErrUncertainWrite wrapping the
-// transport cause.
+// TestSerialWriteUncertain: a blocking write that dies mid round trip
+// must NOT be silently retried — the caller gets ErrUncertainWrite
+// wrapping the transport cause, and the reconnected session never
+// replays it.
 func TestSerialWriteUncertain(t *testing.T) {
-	cli, srv := net.Pipe()
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	defer srv.Close()
+	cli, hangup := net.Pipe()
 	go func() {
-		// Read the request, then hang up without acking.
-		rdma.ReadFrame(srv)
-		srv.Close()
+		// Answer the handshake, read the write, then hang up without
+		// acking.
+		if stubHandshake(hangup) == nil {
+			rdma.ReadFrameCRC(hangup)
+		}
+		hangup.Close()
 	}()
-	redials := 0
-	c := NewClientConnOpts(cli, ClientOpts{
+	var redials atomic.Int32
+	c, err := NewPipelined(cli, PipelineOpts{
+		Window:   1,
 		Timeout:  time.Second,
 		RetryMax: 5,
 		Redial: func() (io.ReadWriteCloser, error) {
-			redials++
-			return nil, errors.New("no redial in this test")
+			redials.Add(1)
+			a, b := net.Pipe()
+			go srv.ServeConn(b)
+			return a, nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
-	err := c.WriteObj(2, 3, []byte{1, 2, 3, 4})
+	err = c.WriteObj(2, 3, []byte{1, 2, 3, 4})
 	if !errors.Is(err, ErrUncertainWrite) {
 		t.Fatalf("err = %v, want ErrUncertainWrite", err)
 	}
-	if redials != 0 {
-		t.Fatalf("client redialed %d times for an uncertain write; must not silently retry", redials)
+	// The client reconnects for later work, but the uncertain write is
+	// the caller's to reissue: the fresh session never carries it.
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after reconnect: %v", err)
+	}
+	if redials.Load() == 0 {
+		t.Fatal("client never reconnected")
+	}
+	if n := srv.Store.Len(); n != 0 {
+		t.Fatalf("the uncertain write was replayed onto the fresh session (%d objects stored)", n)
 	}
 }
 
@@ -206,7 +228,7 @@ func TestPipelinedReconnectReplaysReads(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	sc, err := DialAutoOpts(proxy.Addr(), DialConfig{
+	sc, err := DialPipelined(proxy.Addr(), PipelineOpts{
 		Timeout:   2 * time.Second,
 		RetryMax:  50,
 		RetryBase: time.Millisecond,
@@ -218,9 +240,6 @@ func TestPipelinedReconnectReplaysReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	if _, ok := sc.(*PipelinedClient); !ok {
-		t.Fatalf("expected a pipelined client against our own server, got %T", sc)
-	}
 
 	dst := make([]byte, 4)
 	for round := 0; round < 20; round++ {
@@ -258,7 +277,7 @@ func TestPipelinedWriteUncertainOnCut(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	sc, err := DialAutoOpts(proxy.Addr(), DialConfig{
+	sc, err := DialPipelined(proxy.Addr(), PipelineOpts{
 		Timeout:   2 * time.Second,
 		RetryMax:  50,
 		RetryBase: time.Millisecond,
@@ -390,7 +409,7 @@ func TestServerDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
+	c, err := DialPipelined(addr, PipelineOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,32 +424,25 @@ func TestServerDrain(t *testing.T) {
 		t.Fatal("ping after drain should fail")
 	}
 	c.Close()
-	if _, err := Dial(addr); err == nil {
+	if _, err := DialPipelined(addr, PipelineOpts{}); err == nil {
 		t.Fatal("dial after drain should fail (listener closed)")
 	}
 }
 
-// TestCRCSessionEndToEnd: the real client and server negotiate the CRC
-// feature and keep working — this pins the framing switch on both
-// sides.
+// TestCRCSessionEndToEnd: the real client and server switch to
+// checksummed framing right after the plain-framed handshake and keep
+// working — this pins the framing switch on both sides: every frame the
+// client sent after the handshake parses as a CRC-trailed frame.
 func TestCRCSessionEndToEnd(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
+	c1, c2 := net.Pipe()
+	var mu sync.Mutex
+	var sent bytes.Buffer
+	go srv.ServeConn(recordConn{Conn: c1, mu: &mu, buf: &sent})
+	c, err := NewPipelined(c2, PipelineOpts{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialPipelined(addr, PipelineOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.mu.Lock()
-	crc := c.crc
-	c.mu.Unlock()
-	if !crc {
-		t.Fatal("client should have negotiated checksummed framing with our own server")
 	}
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	if err := c.WriteObj(5, 9, want); err != nil {
@@ -440,101 +452,33 @@ func TestCRCSessionEndToEnd(t *testing.T) {
 	if err := c.ReadObj(5, 9, got); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CRC session read back %x, want %x", got, want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("CRC session read back %x, want %x", got, want)
+	}
+	c.Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	r := bytes.NewReader(sent.Bytes())
+	if f, err := rdma.ReadFrame(r); err != nil || f.Op != rdma.OpPing {
+		t.Fatalf("stream does not open with the plain handshake: %s, %v", f.Op, err)
+	}
+	var ops []rdma.Op
+	for r.Len() > 0 {
+		f, err := rdma.ReadFrameCRC(r)
+		if err != nil {
+			t.Fatalf("frame %d after the handshake is not CRC-framed: %v", len(ops), err)
 		}
+		ops = append(ops, f.Op)
 	}
-}
-
-// TestSerialClientCRCDowngradeAgainstLegacyServer: a fault-tolerant
-// serial client always asks for checksummed framing, but a legacy
-// server answers the feature PING with an empty OK — the session must
-// downgrade to plain framing and keep working. A forced disconnect then
-// makes redialLocked renegotiate on the fresh stream, which must reach
-// the same downgrade (not assume the old session's answer).
-func TestSerialClientCRCDowngradeAgainstLegacyServer(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
-	store := NewObjectStore()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var (
-		connMu sync.Mutex
-		conns  []net.Conn
-	)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			connMu.Lock()
-			conns = append(conns, conn)
-			connMu.Unlock()
-			go legacyServe(conn, store)
-		}
-	}()
-	defer func() {
-		connMu.Lock()
-		for _, c := range conns {
-			c.Close()
-		}
-		connMu.Unlock()
-	}()
-	store.Write(1, 7, []byte{0xAB, 0xCD})
-
-	// Timeout+RetryMax make the client fault tolerant, which is what arms
-	// the CRC ask on every fresh connection.
-	c, err := DialOpts(ln.Addr().String(), ClientOpts{
-		Timeout: time.Second, RetryMax: 4, RetryBase: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if !c.wantCRC {
-		t.Fatal("fault-tolerant serial client should request checksummed framing")
-	}
-	if c.crc {
-		t.Fatal("legacy server cannot checksum: session must downgrade to plain framing")
-	}
-
-	buf := make([]byte, 2)
-	if err := c.ReadObj(1, 7, buf); err != nil || buf[0] != 0xAB || buf[1] != 0xCD {
-		t.Fatalf("downgraded session read = %x, %v", buf, err)
-	}
-	if err := c.WriteObj(1, 8, []byte{0x11}); err != nil {
-		t.Fatalf("downgraded session write: %v", err)
-	}
-
-	// Kill the server side of the session: the next idempotent op breaks,
-	// redials, and renegotiates — landing on the same downgrade.
-	connMu.Lock()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	conns = conns[:0]
-	connMu.Unlock()
-	if err := c.ReadObj(1, 7, buf); err != nil {
-		t.Fatalf("read after forced disconnect should retry through redial: %v", err)
-	}
-	if buf[0] != 0xAB || buf[1] != 0xCD {
-		t.Fatalf("post-redial read = %x", buf)
-	}
-	if c.crc {
-		t.Fatal("renegotiation against the legacy server must downgrade again")
-	}
-	if !c.wantCRC {
-		t.Fatal("the downgrade must not clear the per-connection CRC ask")
+	if len(ops) != 2 || ops[0] != rdma.OpWriteBatchC || ops[1] != rdma.OpReadBatchC {
+		t.Fatalf("session frames = %v, want [WRITEBATCH-C READBATCH-C]", ops)
 	}
 }
 
 // TestPipelinedWriteOnlyStall is the stall-detector regression for the
-// write window: a server that negotiates the full feature set and then
-// goes mute leaves a WRITEBATCH unacknowledged with nothing in the
+// write window: a server that completes the handshake and then goes
+// mute leaves a WRITEBATCH-C unacknowledged with nothing in the
 // *read* window. The stall detector must count in-flight writes too,
 // cut the stream after Timeout, and complete the write with
 // ErrUncertainWrite — not wait forever for an ack that will never come.
@@ -553,13 +497,11 @@ func TestPipelinedWriteOnlyStall(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				// Answer the feature ping so the pipelined session comes
-				// up, then swallow every frame without replying.
-				if _, err := rdma.ReadFrame(conn); err != nil {
+				// Answer the handshake so the session comes up, then
+				// swallow every frame without replying.
+				if stubHandshake(conn) != nil {
 					return
 				}
-				rdma.WriteFrame(conn, rdma.Frame{Op: rdma.OpOK,
-					Payload: rdma.EncodeFeatures(rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch)})
 				io.Copy(io.Discard, conn)
 			}(conn)
 		}

@@ -13,8 +13,9 @@ import (
 // wall-clock (this layer runs on real sockets, unlike farmem's virtual
 // cycles), hence the _ns suffix.
 const (
-	// Server side: one histogram per verb, observed around the full
-	// handle (decode + store access + response encode).
+	// Server side: read and write histograms observed around the full
+	// handle of each batch (decode + store access + response encode), and
+	// the version handshake.
 	MetricReadNS  = "cards_remote_read_ns"
 	MetricWriteNS = "cards_remote_write_ns"
 	MetricPingNS  = "cards_remote_ping_ns"
@@ -37,22 +38,20 @@ const (
 	// ObsSnapshot.
 	MetricResidentObjects = "cards_remote_resident_objects"
 
-	// Client side mirrors of the verb latencies, measured around the
-	// whole round trip (request write + response read). On the pipelined
-	// client, read/write latencies span enqueue to completion.
+	// Client side mirrors of the verb latencies, spanning enqueue to
+	// completion.
 	MetricClientReadNS  = "cards_remote_client_read_ns"
 	MetricClientWriteNS = "cards_remote_client_write_ns"
-	MetricClientPingNS  = "cards_remote_client_ping_ns"
 
-	// Pipelined data path: batch frames served and their sizes (reads
-	// per READBATCH) on the server; in-flight window depth and doorbell
-	// batch sizes on the client.
+	// Pipelined data path: read batch frames served and their sizes
+	// (reads per batch) on the server; in-flight window depth and
+	// doorbell batch sizes on the client.
 	MetricReadBatches     = "cards_remote_read_batches_total"
 	MetricBatchReads      = "cards_remote_batch_reads"
 	MetricClientInflight  = "cards_remote_client_inflight_ops"
 	MetricClientBatchSize = "cards_remote_client_batch_reads"
 
-	// Write-back pipeline: WRITEBATCH frames served and their sizes
+	// Write-back pipeline: write batch frames served and their sizes
 	// (writes per batch) on the server; the client's write-window depth
 	// and per-doorbell write batch sizes.
 	MetricWriteBatches         = "cards_remote_write_batches_total"
@@ -68,11 +67,10 @@ const (
 	MetricChaseHops    = "cards_remote_chase_hops_total"
 	MetricChaseNS      = "cards_remote_chase_ns"
 
-	// Fault tolerance (both clients): idempotent retries, successful
-	// redials, round trips that hit their deadline, writes whose outcome
-	// the transport could not determine, and reads replayed onto a fresh
-	// connection after a reconnect.
-	MetricClientRetries         = "cards_remote_client_retries_total"
+	// Fault tolerance: successful redials, stalled streams abandoned at
+	// their deadline, writes whose outcome the transport could not
+	// determine, and reads replayed onto a fresh connection after a
+	// reconnect.
 	MetricClientReconnects      = "cards_remote_client_reconnects_total"
 	MetricClientTimeouts        = "cards_remote_client_timeouts_total"
 	MetricClientUncertainWrites = "cards_remote_client_uncertain_writes_total"
@@ -155,41 +153,28 @@ func (s *Server) ObsSnapshot() *obs.Snapshot {
 	return s.reg.Snapshot()
 }
 
-// observeVerb records one served request: latency into the per-verb
-// histogram and a span into the trace ring (category "remote", one trace
-// thread per connection). trace, when non-zero, is the sampled
-// distributed trace ID the request carried; it links the server span to
-// the client's tree.
-func (s *Server) observeVerb(op rdma.Op, connID int, start time.Time, startUS uint64, ds, idx int64, trace uint64) {
+// observePing records one served version handshake: its latency and a
+// span into the trace ring (category "remote", one trace thread per
+// connection).
+func (s *Server) observePing(connID int, start time.Time, startUS uint64) {
 	ns := uint64(time.Since(start).Nanoseconds())
-	switch op {
-	case rdma.OpRead:
-		s.metrics.reads.Inc()
-		s.metrics.readNS.Observe(ns)
-	case rdma.OpWrite, rdma.OpWriteTag:
-		s.metrics.writes.Inc()
-		s.metrics.writeNS.Observe(ns)
-	case rdma.OpPing:
-		s.metrics.pingNS.Observe(ns)
-	}
+	s.metrics.pingNS.Observe(ns)
 	if s.tracer != nil {
 		s.tracer.Emit(obs.TraceEvent{
-			TS:       startUS,
-			Dur:      ns / 1000,
-			Cat:      "remote",
-			Name:     op.String(),
-			TID:      connID,
-			Trace:    trace,
-			Arg1Name: "ds", Arg1: ds,
-			Arg2Name: "obj", Arg2: idx,
+			TS:   startUS,
+			Dur:  ns / 1000,
+			Cat:  "remote",
+			Name: rdma.OpPing.String(),
+			TID:  connID,
 		})
 	}
 }
 
-// observeBatch records one served READBATCH: the batch-size histogram,
-// the per-read counters, and one trace span carrying the batch size and
-// the distributed trace ID (0 when the batch carried none).
-func (s *Server) observeBatch(connID, n int, start time.Time, startUS uint64, trace uint64) {
+// observeBatch records one served read batch (op names the verb): the
+// batch-size histogram, the per-read counters, and one trace span
+// carrying the batch size and the distributed trace ID (0 when the
+// batch carried none).
+func (s *Server) observeBatch(op rdma.Op, connID, n int, start time.Time, startUS uint64, trace uint64) {
 	ns := uint64(time.Since(start).Nanoseconds())
 	s.metrics.readBatches.Inc()
 	s.metrics.batchReads.Observe(uint64(n))
@@ -200,7 +185,7 @@ func (s *Server) observeBatch(connID, n int, start time.Time, startUS uint64, tr
 			TS:       startUS,
 			Dur:      ns / 1000,
 			Cat:      "remote",
-			Name:     rdma.OpReadBatch.String(),
+			Name:     op.String(),
 			TID:      connID,
 			Trace:    trace,
 			Arg1Name: "reads", Arg1: int64(n),
@@ -208,11 +193,11 @@ func (s *Server) observeBatch(connID, n int, start time.Time, startUS uint64, tr
 	}
 }
 
-// observeWriteBatch records one served WRITEBATCH: the batch-size
-// histogram, the per-write counters, and one trace span carrying the
-// batch size and the distributed trace ID (0 when the batch carried
-// none).
-func (s *Server) observeWriteBatch(connID, n int, start time.Time, startUS uint64, trace uint64) {
+// observeWriteBatch records one served write batch (op names the verb):
+// the batch-size histogram, the per-write counters, and one trace span
+// carrying the batch size and the distributed trace ID (0 when the
+// batch carried none).
+func (s *Server) observeWriteBatch(op rdma.Op, connID, n int, start time.Time, startUS uint64, trace uint64) {
 	ns := uint64(time.Since(start).Nanoseconds())
 	s.metrics.writeBatches.Inc()
 	s.metrics.batchWrites.Observe(uint64(n))
@@ -223,51 +208,11 @@ func (s *Server) observeWriteBatch(connID, n int, start time.Time, startUS uint6
 			TS:       startUS,
 			Dur:      ns / 1000,
 			Cat:      "remote",
-			Name:     rdma.OpWriteBatch.String(),
+			Name:     op.String(),
 			TID:      connID,
 			Trace:    trace,
 			Arg1Name: "writes", Arg1: int64(n),
 		})
-	}
-}
-
-// clientMetrics caches the client-side registry series.
-type clientMetrics struct {
-	readNS, writeNS, pingNS *stats.Histogram
-	bytesIn, bytesOut       *stats.Counter
-	retries, reconnects     *stats.Counter
-	timeouts                *stats.Counter
-	uncertainWrites         *stats.Counter
-}
-
-// SetObs attaches a registry to the client; round trips then observe
-// per-verb latencies and wire bytes. Call before issuing requests.
-func (c *Client) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		c.metrics = nil
-		return
-	}
-	c.metrics = &clientMetrics{
-		readNS:          reg.Histogram(MetricClientReadNS),
-		writeNS:         reg.Histogram(MetricClientWriteNS),
-		pingNS:          reg.Histogram(MetricClientPingNS),
-		bytesIn:         reg.Counter(MetricBytesIn),
-		bytesOut:        reg.Counter(MetricBytesOut),
-		retries:         reg.Counter(MetricClientRetries),
-		reconnects:      reg.Counter(MetricClientReconnects),
-		timeouts:        reg.Counter(MetricClientTimeouts),
-		uncertainWrites: reg.Counter(MetricClientUncertainWrites),
-	}
-}
-
-func (m *clientMetrics) observe(op rdma.Op, ns uint64) {
-	switch op {
-	case rdma.OpRead:
-		m.readNS.Observe(ns)
-	case rdma.OpWrite:
-		m.writeNS.Observe(ns)
-	case rdma.OpPing:
-		m.pingNS.Observe(ns)
 	}
 }
 

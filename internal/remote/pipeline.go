@@ -16,12 +16,17 @@ import (
 	"cards/internal/rdma"
 )
 
-// Pipelining errors.
+// Client errors.
 var (
-	// ErrNoPipelining means the peer answered the feature PING without a
-	// feature word: a legacy server. The connection remains usable with
-	// the serial Client.
-	ErrNoPipelining = errors.New("remote: server does not support pipelined batches")
+	// ErrProtocolVersion means the version handshake failed: the peer
+	// speaks another protocol version, or refused or garbled the
+	// handshake. A corrupted handshake is indistinguishable from a real
+	// mismatch, so dials retry it under their normal budget.
+	ErrProtocolVersion = errors.New("remote: protocol version mismatch")
+
+	// ErrClientClosed is returned by calls made after (or unblocked by)
+	// Close.
+	ErrClientClosed = errors.New("remote: client closed")
 )
 
 // DefaultReconnectAttempts bounds the redial loop after a connection
@@ -38,8 +43,8 @@ type PipelineOpts struct {
 	// Window). Writes have their own window so a backlog of write-backs
 	// never starves demand reads of in-flight slots, and vice versa.
 	WriteWindow int
-	// MaxBatch bounds the reads coalesced into one READBATCH frame and
-	// the writes coalesced into one WRITEBATCH (default 32, clamped to
+	// MaxBatch bounds the reads coalesced into one read batch frame and
+	// the writes coalesced into one write batch (default 32, clamped to
 	// Window).
 	MaxBatch int
 	// Obs, when non-nil, receives per-op latencies, doorbell batch
@@ -62,20 +67,13 @@ type PipelineOpts struct {
 	// label.
 	Shard string
 
-	// NoCompact disables the compact wire tier: the client never
-	// requests rdma.FeatCompact and keeps the fixed-width batch frames —
-	// the bench control knob, and an escape hatch. Default (false)
-	// negotiates compact framing whenever the peer offers it.
-	NoCompact bool
-
-	// Compression controls adaptive per-object compression on compact
-	// sessions: "" or "auto" requests rdma.FeatCompress and lets the
-	// per-DS policy decide online which objects to compress; "off"
-	// never requests the feature (objects ship raw inside compact
-	// frames). Ignored when the compact tier is off.
+	// Compression controls adaptive per-object compression: "" or
+	// "auto" requests rdma.FeatCompress and lets the per-DS policy decide
+	// online which objects to compress; "off" never requests the feature
+	// (objects ship raw inside the same compact frames).
 	Compression string
 
-	// Timeout bounds negotiation and, on deadline-capable connections,
+	// Timeout bounds the handshake and, on deadline-capable connections,
 	// detects a stalled stream: no reply within Timeout while operations
 	// are in flight abandons the connection. 0 disables.
 	Timeout time.Duration
@@ -119,8 +117,8 @@ func (o PipelineOpts) withDefaults() PipelineOpts {
 // exactly once: through done when set (async reads), else through ch.
 type pipeOp struct {
 	write         bool
-	wantEp        bool // ride the epoch-stamped verbs (FeatEpoch sessions)
-	chase         bool // ride the traversal-offload verbs (FeatChase sessions)
+	wantEp        bool // ride the epoch-stamped verbs
+	chase         bool // ride the traversal-offload verbs
 	probe         bool // liveness ping: not workload, kept out of tracing
 	ds, idx, size uint32
 	epoch         uint64           // write: stamp to apply; read: stamp received
@@ -168,13 +166,17 @@ func (op *pipeOp) readKind() int {
 	return 0
 }
 
-// unsupportedErr is the definitive error for an op doomed by a session
-// that lacks its verb family.
-func (op *pipeOp) unsupportedErr() error {
-	if op.chase {
-		return ErrChaseUnsupported
+// replay readies a harvested read-window op for reissue on a fresh
+// connection. A chase also halves its hop budget (down to one hop): its
+// reply grows with the budget, and a reply longer than the link carries
+// between faults would otherwise be replayed whole forever. The caller
+// resumes a shortened walk from the ChaseHops address as it would any
+// budget-limited one.
+func (op *pipeOp) replay() {
+	op.attempts++
+	if op.chase && op.creq.Hops > 1 {
+		op.creq.Hops /= 2
 	}
-	return ErrEpochUnsupported
 }
 
 // PipelinedClient is a farmem.Store/AsyncStore over one connection that
@@ -182,7 +184,7 @@ func (op *pipeOp) unsupportedErr() error {
 //
 // Data path: callers enqueue operations without touching the socket. A
 // flusher goroutine drains the queue, coalesces consecutive reads into
-// READBATCH frames, and pushes everything through one buffered write and
+// batch frames, and pushes everything through one buffered write and
 // a single flush — the doorbell: one syscall rings out many verbs. A
 // reader goroutine demultiplexes completions by tag, so replies may
 // arrive in any order.
@@ -210,12 +212,7 @@ type PipelinedClient struct {
 	mu           sync.Mutex
 	conn         io.ReadWriteCloser // current connection; swapped on reconnect
 	bw           *bufio.Writer      // doorbell buffer for conn
-	crc          bool               // session uses checksummed framing
-	wbatch       bool               // peer speaks WRITEBATCH/ACKBATCH
-	epochOK      bool               // peer speaks the epoch-stamped verbs
-	chaseOK      bool               // peer speaks the traversal-offload verbs
 	trace        bool               // session carries the trace extension
-	compact      bool               // session uses the compact bit-packed batch frames
 	compress     bool               // session may ship LZ-compressed segments
 	gen          uint64             // connection generation
 	reconnecting bool               // a reconnect is in progress
@@ -236,70 +233,50 @@ type PipelinedClient struct {
 	metrics *pipeMetrics
 	hub     *obs.TraceHub  // immutable after construction; nil = no tracing
 	shard   string         // attribution/slow-op shard label
-	featReq uint32         // feature word requested on every negotiation
+	featReq uint32         // features requested on every handshake
 	attrib  *attribCache   // reader-goroutine-owned; nil without Obs+Trace
-	cpolicy compressPolicy // per-DS adaptive compression state (compact tier)
+	cpolicy compressPolicy // per-DS adaptive compression state
 }
 
-// negotiate runs the feature exchange on a fresh connection: request
-// the features in req, demand batching, and return the peer's feature
-// word (the caller derives checksummed framing, WRITEBATCH support, and
-// the trace extension from it). The exchange itself is always
-// legacy-framed; d bounds it when > 0.
+// negotiate runs the version handshake on a fresh connection, asking
+// for the negotiable features in req, and returns the features granted.
+// The exchange is plain-framed; d bounds it when > 0. A refusal (ERR),
+// a reply of another version, or a grant outside req — what a handshake
+// garbled in transit looks like — fails with ErrProtocolVersion.
 func negotiate(conn io.ReadWriteCloser, d time.Duration, req uint32) (feats uint32, err error) {
 	g := guardIO(conn, d)
-	err = rdma.WriteFrame(conn, rdma.PingFeatures(req))
+	err = rdma.WriteFrame(conn, rdma.Hello(rdma.OpPing, req))
 	var resp rdma.Frame
 	if err == nil {
 		resp, err = rdma.ReadFrame(conn)
 	}
 	if err = g.finish(err); err != nil {
-		return 0, fmt.Errorf("remote: feature ping: %w", err)
+		return 0, fmt.Errorf("remote: handshake: %w", err)
 	}
-	if resp.Op != rdma.OpOK {
-		return 0, fmt.Errorf("remote: unexpected ping response %s", resp.Op)
+	if resp.Op == rdma.OpErr {
+		return 0, fmt.Errorf("%w: server refused the handshake: %s", ErrProtocolVersion, resp.Payload)
 	}
-	feats, ok := rdma.DecodeFeatures(resp.Payload)
-	if !ok || feats&rdma.FeatBatch == 0 {
-		return 0, ErrNoPipelining
+	version, feats, ok := rdma.DecodeHello(resp.Payload)
+	switch {
+	case resp.Op != rdma.OpOK || !ok:
+		return 0, fmt.Errorf("%w: unexpected handshake reply %s (%d bytes)", ErrProtocolVersion, resp.Op, len(resp.Payload))
+	case version != rdma.ProtocolVersion:
+		return 0, fmt.Errorf("%w: server speaks version %d, client %d", ErrProtocolVersion, version, rdma.ProtocolVersion)
+	case feats&^req != 0:
+		return 0, fmt.Errorf("%w: server granted unrequested features %#x", ErrProtocolVersion, feats&^req)
 	}
 	return feats, nil
 }
 
-// negotiateCRC asks the peer for checksummed framing only — no batching
-// requirement, so it suits the serial client. A legacy server's empty OK
-// decodes as "no features" and leaves the session on plain framing. The
-// exchange itself is always legacy-framed; d bounds it when > 0.
-func negotiateCRC(conn io.ReadWriteCloser, d time.Duration) (bool, error) {
-	g := guardIO(conn, d)
-	err := rdma.WriteFrame(conn, rdma.PingFeatures(rdma.FeatCRC))
-	var resp rdma.Frame
-	if err == nil {
-		resp, err = rdma.ReadFrame(conn)
-	}
-	if err = g.finish(err); err != nil {
-		return false, fmt.Errorf("remote: feature ping: %w", err)
-	}
-	if resp.Op != rdma.OpOK {
-		return false, fmt.Errorf("remote: unexpected ping response %s", resp.Op)
-	}
-	feats, ok := rdma.DecodeFeatures(resp.Payload)
-	return ok && feats&rdma.FeatCRC != 0, nil
-}
-
-// NewPipelined negotiates the batch feature on conn and, on success,
-// returns a running pipelined client. Returns ErrNoPipelining (with conn
-// still usable for a serial Client) when the peer is a legacy server.
+// NewPipelined runs the version handshake on conn and, on success,
+// returns a running pipelined client.
 func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient, error) {
-	req := rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch | rdma.FeatEpoch | rdma.FeatChase
+	var req uint32
 	if opts.Trace != nil {
 		req |= rdma.FeatTrace
 	}
-	if !opts.NoCompact {
-		req |= rdma.FeatCompact
-		if opts.Compression != "off" {
-			req |= rdma.FeatCompress
-		}
+	if opts.Compression != "off" {
+		req |= rdma.FeatCompress
 	}
 	feats, err := negotiate(conn, opts.Timeout, req)
 	if err != nil {
@@ -312,13 +289,8 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	c := &PipelinedClient{
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 64<<10),
-		crc:      feats&rdma.FeatCRC != 0,
-		wbatch:   feats&rdma.FeatWriteBatch != 0,
-		epochOK:  feats&rdma.FeatEpoch != 0,
-		chaseOK:  feats&rdma.FeatChase != 0,
-		trace:    opts.Trace != nil && feats&rdma.FeatTrace != 0,
-		compact:  req&rdma.FeatCompact != 0 && feats&rdma.FeatCompact != 0,
-		compress: req&rdma.FeatCompress != 0 && feats&rdma.FeatCompact != 0 && feats&rdma.FeatCompress != 0,
+		trace:    feats&rdma.FeatTrace != 0,
+		compress: feats&rdma.FeatCompress != 0,
 		opts:     opts.withDefaults(),
 		lastWire: time.Now(),
 		pending:  make(map[uint32][]*pipeOp),
@@ -339,16 +311,41 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	return c, nil
 }
 
-// DialPipelined connects to a server address and negotiates pipelining.
-// When fault handling is requested (Timeout or RetryMax set) and
-// opts.Redial is nil, it defaults to redialing addr.
+// DialPipelined connects to a server address and runs the handshake.
+// When fault handling is requested (Timeout or RetryMax set) opts.Redial
+// defaults to redialing addr, and the initial dial and handshake retry
+// under the same backoff budget as later reconnects — so a flaky link,
+// or a handshake garbled in transit, at startup is survived too.
 func DialPipelined(addr string, opts PipelineOpts) (*PipelinedClient, error) {
+	opts = opts.withRedial(addr)
+	seed := opts.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for attempt := 0; ; attempt++ {
+		c, err := dialOnce(addr, opts)
+		if err == nil || attempt >= opts.RetryMax {
+			return c, err
+		}
+		time.Sleep(backoff(rng, opts.RetryBase, opts.RetryCap, attempt))
+	}
+}
+
+// withRedial defaults Redial to redialing addr when fault handling is
+// requested (Timeout or RetryMax set).
+func (o PipelineOpts) withRedial(addr string) PipelineOpts {
+	if o.Redial == nil && (o.RetryMax > 0 || o.Timeout > 0) {
+		o.Redial = redialer(addr)
+	}
+	return o
+}
+
+// dialOnce is one dial + handshake attempt.
+func dialOnce(addr string, opts PipelineOpts) (*PipelinedClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
-	}
-	if opts.Redial == nil && (opts.RetryMax > 0 || opts.Timeout > 0) {
-		opts.Redial = redialer(addr)
 	}
 	c, err := NewPipelined(conn, opts)
 	if err != nil {
@@ -371,22 +368,12 @@ func redialer(addr string) func() (io.ReadWriteCloser, error) {
 	}
 }
 
-// StoreConn is the client surface shared by the serial and pipelined
-// clients (it satisfies farmem.Store).
-type StoreConn interface {
-	ReadObj(ds, idx int, dst []byte) error
-	WriteObj(ds, idx int, src []byte) error
-	Ping() error
-	Close() error
-}
-
-// DialConfig configures DialAutoOpts: pipeline shape plus the shared
-// fault-handling knobs applied to whichever client the negotiation
-// lands on.
+// DialConfig configures DialResilient: pipeline shape plus the
+// fault-handling knobs.
 type DialConfig struct {
-	// Timeout bounds each round trip (serial) or stall detection
-	// (pipelined). RetryMax / RetryBase / RetryCap / Seed shape the
-	// retry and reconnect backoff; see ClientOpts and PipelineOpts.
+	// Timeout bounds the handshake and stall detection. RetryMax /
+	// RetryBase / RetryCap / Seed shape the retry and reconnect backoff;
+	// see PipelineOpts.
 	Timeout   time.Duration
 	RetryMax  int
 	RetryBase time.Duration
@@ -399,94 +386,20 @@ type DialConfig struct {
 
 	Obs *obs.Registry
 
-	// Trace/Shard pass through to PipelineOpts. The serial fallback
-	// ignores them: only the pipelined client speaks the trace
-	// extension.
-	Trace *obs.TraceHub
-	Shard string
-
-	// NoCompact / Compression pass through to PipelineOpts: the compact
-	// wire tier and its adaptive per-object compression knob. The
-	// serial fallback ignores them (it never speaks the batch verbs).
-	NoCompact   bool
+	// Trace/Shard/Compression pass through to PipelineOpts.
+	Trace       *obs.TraceHub
+	Shard       string
 	Compression string
 }
 
-// faultTolerant reports whether the config asks for any fault handling,
-// which is what gates the default redialer.
-func (c DialConfig) faultTolerant() bool { return c.Timeout > 0 || c.RetryMax > 0 }
-
-// DialAuto connects to a server address and returns a pipelined client
-// when the server supports batching, falling back to the serial client
-// against legacy servers. No deadlines, no retries — the zero-config
-// path.
-func DialAuto(addr string) (StoreConn, error) {
-	return DialAutoOpts(addr, DialConfig{})
-}
-
-// DialAutoOpts is DialAuto with fault handling: the initial dial and
-// negotiation retry under the same backoff budget as later reconnects,
-// so a flaky link at startup is survived too.
-func DialAutoOpts(addr string, cfg DialConfig) (StoreConn, error) {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+// pipelineOpts maps the config onto the client's options.
+func (c DialConfig) pipelineOpts() PipelineOpts {
+	return PipelineOpts{
+		Window: c.Window, MaxBatch: c.MaxBatch, Obs: c.Obs,
+		Trace: c.Trace, Shard: c.Shard, Compression: c.Compression,
+		Timeout: c.Timeout, RetryMax: c.RetryMax,
+		RetryBase: c.RetryBase, RetryCap: c.RetryCap, Seed: c.Seed,
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		sc, err := dialAutoOnce(addr, cfg)
-		if err == nil {
-			return sc, nil
-		}
-		lastErr = err
-		if !cfg.faultTolerant() || attempt >= cfg.RetryMax {
-			return nil, lastErr
-		}
-		time.Sleep(backoff(rng, cfg.RetryBase, cfg.RetryCap, attempt))
-	}
-}
-
-func dialAutoOnce(addr string, cfg DialConfig) (StoreConn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
-	}
-	popts := PipelineOpts{
-		Window: cfg.Window, MaxBatch: cfg.MaxBatch, Obs: cfg.Obs,
-		Trace: cfg.Trace, Shard: cfg.Shard,
-		NoCompact: cfg.NoCompact, Compression: cfg.Compression,
-		Timeout: cfg.Timeout, RetryMax: cfg.RetryMax,
-		RetryBase: cfg.RetryBase, RetryCap: cfg.RetryCap, Seed: cfg.Seed,
-	}
-	if cfg.faultTolerant() {
-		popts.Redial = redialer(addr)
-	}
-	c, err := NewPipelined(conn, popts)
-	if err == nil {
-		return c, nil
-	}
-	if errors.Is(err, ErrNoPipelining) {
-		copts := ClientOpts{
-			Timeout: cfg.Timeout, RetryMax: cfg.RetryMax,
-			RetryBase: cfg.RetryBase, RetryCap: cfg.RetryCap, Seed: cfg.Seed,
-		}
-		if cfg.faultTolerant() {
-			copts.Redial = redialer(addr)
-		}
-		sc := NewClientConnOpts(conn, copts)
-		// The fallback conn stays on plain framing (the peer answered the
-		// feature ping without FeatCRC), but any redial renegotiates: a
-		// garbled handshake against a CRC-capable server recovers on the
-		// first fresh connection.
-		sc.wantCRC = cfg.faultTolerant()
-		if cfg.Obs != nil {
-			sc.SetObs(cfg.Obs)
-		}
-		return sc, nil
-	}
-	conn.Close()
-	return nil, err
 }
 
 // enqueue hands an operation to the flusher (never blocks on the wire).
@@ -670,7 +583,7 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 			if op.write {
 				writes = append(writes, op)
 			} else {
-				op.attempts++
+				op.replay()
 				reads = append(reads, op)
 			}
 		}
@@ -724,13 +637,8 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 		}
 		c.conn = nc
 		c.bw = bufio.NewWriterSize(nc, 64<<10)
-		c.crc = feats&rdma.FeatCRC != 0
-		c.wbatch = feats&rdma.FeatWriteBatch != 0
-		c.epochOK = feats&rdma.FeatEpoch != 0
-		c.chaseOK = feats&rdma.FeatChase != 0
-		c.trace = c.hub != nil && feats&rdma.FeatTrace != 0
-		c.compact = c.featReq&rdma.FeatCompact != 0 && feats&rdma.FeatCompact != 0
-		c.compress = c.featReq&rdma.FeatCompress != 0 && feats&rdma.FeatCompact != 0 && feats&rdma.FeatCompress != 0
+		c.trace = feats&rdma.FeatTrace != 0
+		c.compress = feats&rdma.FeatCompress != 0
 		c.gen++
 		c.reconnecting = false
 		c.lastWire = time.Now()
@@ -754,7 +662,7 @@ func (c *PipelinedClient) requeueOps(ops []*pipeOp, cause error) {
 		if op.write {
 			writes = append(writes, op)
 		} else {
-			op.attempts++
+			op.replay()
 			reads = append(reads, op)
 		}
 	}
@@ -789,21 +697,19 @@ func (c *PipelinedClient) flushable() bool {
 
 // flushLoop is the doorbell: it waits for queued work and window space,
 // moves as much of both queues as fits onto the wire as tagged frames —
-// reads coalesced into READBATCH, writes into WRITEBATCH (or one
-// WRITETAG each against a legacy peer) — and flushes the buffered
-// writer once per wakeup. It parks while a reconnect is in progress and
-// resumes against the fresh connection. Frame payloads come from the
-// rdma buffer pool and return to it once written.
+// plain reads coalesced into READBATCH-C, epoch reads into
+// READEPOCHBATCH, chases into CHASEBATCH, writes into WRITEBATCH-C or
+// WRITEEPOCHBATCH-C — and flushes the buffered writer once per wakeup.
+// It parks while a reconnect is in progress and resumes against the
+// fresh connection. Frame payloads come from the rdma buffer pool and
+// return to it once written.
 func (c *PipelinedClient) flushLoop() {
 	defer c.wg.Done()
-	var reqs []rdma.ReadReq        // scratch, reused across wakeups
-	var wreqs []rdma.WriteReq      // scratch, reused across wakeups
-	var ereqs []rdma.WriteEpochReq // scratch, reused across wakeups
-	var creqs []rdma.ChaseReq      // scratch, reused across wakeups
-	var cwreqs []rdma.WriteReqC    // scratch, reused across wakeups (compact sessions)
-	var cbufs [][]byte             // pooled gather/compress buffers, released after encode
-	var frames []rdma.Frame        // scratch, reused across wakeups
-	var doomed []*pipeOp           // epoch/chase ops against a peer without the verbs
+	var reqs []rdma.ReadReq     // scratch, reused across wakeups
+	var creqs []rdma.ChaseReq   // scratch, reused across wakeups
+	var cwreqs []rdma.WriteReqC // scratch, reused across wakeups
+	var cbufs [][]byte          // pooled gather/compress buffers, released after encode
+	var frames []rdma.Frame     // scratch, reused across wakeups
 	for {
 		c.mu.Lock()
 		for c.err == nil && (c.reconnecting || !c.flushable()) {
@@ -815,16 +721,13 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		gen := c.gen
 		bw := c.bw
-		crc := c.crc
 		trace := c.trace
-		compact := c.compact
 		compress := c.compress
 		var now time.Time
 		if trace {
 			now = time.Now() // doorbell timestamp shared by this wakeup's ops
 		}
 		frames = frames[:0]
-		doomed = doomed[:0]
 		space := c.opts.Window - c.inflight
 		for space > 0 && len(c.queue) > 0 {
 			// Coalesce the run of reads at the head of the queue. Epoch
@@ -836,14 +739,6 @@ func (c *PipelinedClient) flushLoop() {
 			replySize := 4
 			for space > 0 && len(c.queue) > 0 && len(ops) < c.opts.MaxBatch {
 				op := c.queue[0]
-				if (op.wantEp && !c.epochOK) || (op.chase && !c.chaseOK) {
-					// The session never negotiated the op's verbs (a legacy
-					// peer, possibly after a reconnect): fail definitively
-					// rather than send a frame the peer cannot parse.
-					doomed = append(doomed, op)
-					c.queue = c.queue[1:]
-					continue
-				}
 				var seg int
 				switch {
 				case op.chase:
@@ -852,12 +747,10 @@ func (c *PipelinedClient) flushLoop() {
 					seg = chaseReplySize(op.creq)
 				case op.wantEp:
 					seg = epochRespHdrSize + int(op.size)
-				case compact:
+				default:
 					// Compact reply headers are varints: charge their worst
 					// case (compression only shrinks the blob region).
 					seg = 12 + int(op.size)
-				default:
-					seg = 4 + int(op.size)
 				}
 				if len(ops) > 0 && (op.readKind() != ops[0].readKind() ||
 					replySize+seg > rdma.MaxFrame) {
@@ -873,9 +766,6 @@ func (c *PipelinedClient) flushLoop() {
 				c.queue = c.queue[1:]
 				space--
 			}
-			if len(ops) == 0 {
-				continue // everything inspected was doomed
-			}
 			tag := c.tagFor(ops, false)
 			var f rdma.Frame
 			switch {
@@ -883,10 +773,8 @@ func (c *PipelinedClient) flushLoop() {
 				f = rdma.EncodeChaseBatchPooled(tag, creqs)
 			case ops[0].wantEp:
 				f = rdma.EncodeReadEpochBatchPooled(tag, reqs)
-			case compact:
-				f = rdma.EncodeReadBatchCPooled(tag, reqs)
 			default:
-				f = rdma.EncodeReadBatchPooled(tag, reqs)
+				f = rdma.EncodeReadBatchCPooled(tag, reqs)
 			}
 			if trace {
 				stampTraceFrame(&f, ops, now)
@@ -901,101 +789,40 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		wspace := c.opts.WriteWindow - c.inflightW
 		for wspace > 0 && len(c.wqueue) > 0 {
-			if !c.wbatch {
-				// Legacy peer: one WRITETAG frame per write — byte-identical
-				// to what such a peer has always received. Such a peer has no
-				// epoch verbs either, so epoch writes fail definitively.
-				op := c.wqueue[0]
-				c.wqueue = c.wqueue[1:]
-				wspace--
-				if op.wantEp {
-					doomed = append(doomed, op)
-					continue
-				}
-				ops := []*pipeOp{op}
-				tag := c.tagFor(ops, true)
-				f := rdma.Frame{
-					Op: rdma.OpWriteTag, Tag: tag,
-					Payload: rdma.EncodeWrite(op.ds, op.idx, op.data).Payload,
-				}
-				if trace {
-					stampTraceFrame(&f, ops, now)
-				}
-				frames = append(frames, f)
-				continue
-			}
-			// Coalesce writes into one WRITEBATCH (or WRITEEPOCHBATCH —
-			// never mixed), bounded by MaxBatch and the frame limit. On a
-			// compact session both families ride the compact tuples
-			// instead, with per-object compression and range sub-encoding;
-			// against any other peer a range op falls back to its full
-			// object image (op.data always carries it).
-			wreqs = wreqs[:0]
-			ereqs = ereqs[:0]
+			// Coalesce writes into one WRITEBATCH-C (or WRITEEPOCHBATCH-C —
+			// never mixed), bounded by MaxBatch and the frame limit, with
+			// per-object compression and range sub-encoding.
 			cwreqs = cwreqs[:0]
 			var ops []*pipeOp
-			frameSize := 4
+			frameSize := 6
 			for wspace > 0 && len(c.wqueue) > 0 && len(ops) < c.opts.MaxBatch {
 				op := c.wqueue[0]
-				if op.wantEp && !c.epochOK {
-					doomed = append(doomed, op)
-					c.wqueue = c.wqueue[1:]
-					continue
-				}
-				var tupleBound int
-				if compact {
-					dataLen := len(op.data)
-					if op.exts != nil {
-						dataLen = 0
-						for _, e := range op.exts {
-							dataLen += int(e.Len)
-						}
+				dataLen := len(op.data)
+				if op.exts != nil {
+					dataLen = 0
+					for _, e := range op.exts {
+						dataLen += int(e.Len)
 					}
-					tupleBound = rdma.WriteReqCBound(dataLen, len(op.exts), op.wantEp)
-				} else {
-					tupleHdr := 12
-					if op.wantEp {
-						tupleHdr = epochTupleHdrSize
-					}
-					tupleBound = tupleHdr + len(op.data)
 				}
+				tupleBound := rdma.WriteReqCBound(dataLen, len(op.exts), op.wantEp)
 				if len(ops) > 0 && (op.wantEp != ops[0].wantEp ||
 					frameSize+tupleBound > rdma.MaxFrame) {
 					break
 				}
 				frameSize += tupleBound
-				switch {
-				case compact:
-					cwreqs = append(cwreqs, c.compactWriteReq(op, compress, &cbufs))
-				case op.wantEp:
-					ereqs = append(ereqs, rdma.WriteEpochReq{DS: op.ds, Idx: op.idx, Epoch: op.epoch, Data: op.data})
-				default:
-					wreqs = append(wreqs, rdma.WriteReq{DS: op.ds, Idx: op.idx, Data: op.data})
-				}
+				cwreqs = append(cwreqs, c.compactWriteReq(op, compress, &cbufs))
 				ops = append(ops, op)
 				c.wqueue = c.wqueue[1:]
 				wspace--
 			}
-			if len(ops) == 0 {
-				continue // everything inspected was doomed
-			}
 			tag := c.tagFor(ops, true)
-			var f rdma.Frame
-			var err error
-			switch {
-			case compact:
-				f, err = rdma.EncodeWriteBatchCPooled(tag, cwreqs, ops[0].wantEp)
-				// The encoder copied every blob into the frame payload:
-				// the gather/compress buffers can go home now.
-				for _, b := range cbufs {
-					rdma.PutBuf(b)
-				}
-				cbufs = cbufs[:0]
-			case ops[0].wantEp:
-				f, err = rdma.EncodeWriteEpochBatchPooled(tag, ereqs)
-			default:
-				f, err = rdma.EncodeWriteBatchPooled(tag, wreqs)
+			f, err := rdma.EncodeWriteBatchCPooled(tag, cwreqs, ops[0].wantEp)
+			// The encoder copied every blob into the frame payload: the
+			// gather/compress buffers can go home now.
+			for _, b := range cbufs {
+				rdma.PutBuf(b)
 			}
+			cbufs = cbufs[:0]
 			if err != nil {
 				// Unreachable by construction (the loop bounds frameSize);
 				// fail loudly rather than drop writes on the floor.
@@ -1020,18 +847,10 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		c.mu.Unlock()
 
-		for _, op := range doomed {
-			op.complete(op.unsupportedErr())
-		}
-
-		writeFrame := rdma.WriteFrame
-		if crc {
-			writeFrame = rdma.WriteFrameCRC
-		}
 		var werr error
 		for _, f := range frames {
 			if werr == nil {
-				werr = writeFrame(bw, f)
+				werr = rdma.WriteFrameCRC(bw, f)
 			}
 			if werr == nil {
 				if m := c.metrics; m != nil {
@@ -1105,10 +924,9 @@ func (c *PipelinedClient) tagFor(ops []*pipeOp, write bool) uint32 {
 // contents are copied out or formatted into an error.
 func (c *PipelinedClient) readLoop() {
 	defer c.wg.Done()
-	var segs [][]byte            // scratch, reused across frames
 	var esegs []rdma.EpochSeg    // scratch, reused across frames
 	var cress []rdma.ChaseResult // scratch, reused across frames
-	var csegs []rdma.DataSegC    // scratch, reused across frames (compact sessions)
+	var csegs []rdma.DataSegC    // scratch, reused across frames
 	var ackScratch []uint64      // ACKBATCH-C reject bitmap scratch
 	for {
 		c.mu.Lock()
@@ -1121,7 +939,6 @@ func (c *PipelinedClient) readLoop() {
 		}
 		gen := c.gen
 		conn := c.conn
-		crc := c.crc
 		trace := c.trace
 		c.mu.Unlock()
 
@@ -1130,7 +947,7 @@ func (c *PipelinedClient) readLoop() {
 				dl.SetReadDeadline(time.Now().Add(d))
 			}
 		}
-		f, err := rdma.ReadFramePooledOpts(conn, crc, trace)
+		f, err := rdma.ReadFramePooled(conn, trace)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// An idle connection hitting the read deadline is benign:
@@ -1175,26 +992,6 @@ func (c *PipelinedClient) readLoop() {
 			stamped = true
 		}
 		switch f.Op {
-		case rdma.OpDataBatch:
-			var derr error
-			segs, derr = rdma.DecodeDataBatchInto(f.Payload, segs)
-			if derr == nil && len(segs) != len(ops) {
-				derr = fmt.Errorf("remote: DATABATCH has %d segments, want %d", len(segs), len(ops))
-			}
-			if derr != nil {
-				// Framing is untrustworthy past this point: replay these
-				// reads on a fresh connection.
-				rdma.PutBuf(f.Payload)
-				c.requeueOps(ops, derr)
-				c.connFail(gen, derr)
-				continue
-			}
-			for i, op := range ops {
-				copy(op.dst, segs[i])
-				c.finishOp(op, stamped, sQueueUS, sServiceUS)
-				op.complete(nil)
-			}
-			rdma.PutBuf(f.Payload)
 		case rdma.OpDataEpochBatch:
 			var derr error
 			esegs, derr = rdma.DecodeDataEpochBatchInto(f.Payload, esegs)
@@ -1317,28 +1114,6 @@ func (c *PipelinedClient) readLoop() {
 				c.finishOp(op, stamped, sQueueUS, sServiceUS)
 				op.complete(nil)
 			}
-		case rdma.OpAckBatch:
-			n, derr := rdma.DecodeAckBatch(f.Payload)
-			rdma.PutBuf(f.Payload)
-			if derr == nil && n != len(ops) {
-				derr = fmt.Errorf("remote: ACKBATCH acknowledges %d writes, want %d", n, len(ops))
-			}
-			if derr != nil {
-				// A torn ack means the batch outcome is unknowable over this
-				// stream: the writes surface as uncertain for the caller to
-				// reissue.
-				c.requeueOps(ops, derr)
-				c.connFail(gen, derr)
-				continue
-			}
-			for _, op := range ops {
-				c.finishOp(op, stamped, sQueueUS, sServiceUS)
-				op.complete(nil)
-			}
-		case rdma.OpAckTag:
-			rdma.PutBuf(f.Payload)
-			c.finishOp(ops[0], stamped, sQueueUS, sServiceUS)
-			ops[0].complete(nil)
 		case rdma.OpErrTag:
 			// Definitive server-level rejection: the connection is fine
 			// and the answer is final — never retried.

@@ -2,15 +2,42 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
 )
+
+// stubHandshake answers a client's version handshake on a hand-rolled
+// server, granting no negotiable features. Every frame after it is
+// CRC-trailed.
+func stubHandshake(conn io.ReadWriter) error {
+	f, err := rdma.ReadFrame(conn)
+	if err != nil {
+		return err
+	}
+	if f.Op != rdma.OpPing {
+		return fmt.Errorf("want handshake PING, got %s", f.Op)
+	}
+	return rdma.WriteFrame(conn, rdma.Hello(rdma.OpOK, 0))
+}
+
+// dialSerial dials the serial access shape: a Window: 1 client whose
+// callers make one blocking call at a time — the baseline the pipeline
+// sweep's "serial" row measures.
+func dialSerial(addr string, opts PipelineOpts) (*PipelinedClient, error) {
+	opts.Window = 1
+	return DialPipelined(addr, opts)
+}
 
 func startPipelined(t *testing.T, opts PipelineOpts) (*Server, *PipelinedClient) {
 	t.Helper()
@@ -111,9 +138,9 @@ func TestPipelinedManyAsyncReads(t *testing.T) {
 
 func TestPipelinedMixedReadWrite(t *testing.T) {
 	_, cl := startPipelined(t, PipelineOpts{Window: 8, MaxBatch: 3})
-	// Interleave writes and reads so the flusher alternates WRITETAG
-	// frames with READBATCH runs; read-your-write holds because WriteObj
-	// blocks until the ack.
+	// Interleave writes and reads so the flusher alternates WRITEBATCH-C
+	// frames with READBATCH-C runs; read-your-write holds because
+	// WriteObj blocks until the ack.
 	for i := 0; i < 50; i++ {
 		data := []byte{byte(i), 0xAB}
 		if err := cl.WriteObj(2, i, data); err != nil {
@@ -138,45 +165,37 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 	srvErr := make(chan error, 1)
 	go func() {
 		srvErr <- func() error {
-			// Feature negotiation.
-			f, err := rdma.ReadFrame(c1)
-			if err != nil {
-				return err
-			}
-			if f.Op != rdma.OpPing {
-				return errors.New("want feature ping first")
-			}
-			// Echo batching only: this hand-rolled server speaks legacy
-			// framing, so it must not accept the CRC feature.
-			if err := rdma.WriteFrame(c1, rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(rdma.FeatBatch)}); err != nil {
+			if err := stubHandshake(c1); err != nil {
 				return err
 			}
 			// Collect two single-read batches, then answer in REVERSE.
 			var frames []rdma.Frame
 			for len(frames) < 2 {
-				f, err := rdma.ReadFrame(c1)
+				f, err := rdma.ReadFrameCRC(c1)
 				if err != nil {
 					return err
 				}
-				if f.Op != rdma.OpReadBatch {
-					return errors.New("want READBATCH")
+				if f.Op != rdma.OpReadBatchC {
+					return errors.New("want READBATCH-C")
 				}
 				frames = append(frames, f)
 			}
+			var b rdma.DataBatchCBuilder
+			defer b.Release()
 			for i := len(frames) - 1; i >= 0; i-- {
-				reqs, err := rdma.DecodeReadBatch(frames[i].Payload)
+				reqs, err := rdma.DecodeReadBatchCInto(frames[i].Payload, nil)
 				if err != nil {
 					return err
 				}
-				segs := make([][]byte, len(reqs))
-				for j, r := range reqs {
-					segs[j] = []byte{byte(r.Idx)}
+				b.Reset()
+				for _, r := range reqs {
+					b.Add([]byte{byte(r.Idx)}, false)
 				}
-				resp, err := rdma.EncodeDataBatch(frames[i].Tag, segs)
+				resp, err := b.Frame(frames[i].Tag)
 				if err != nil {
 					return err
 				}
-				if err := rdma.WriteFrame(c1, resp); err != nil {
+				if err := rdma.WriteFrameCRC(c1, resp); err != nil {
 					return err
 				}
 			}
@@ -216,36 +235,22 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 	}
 }
 
-// legacyServe answers the pre-batch protocol: empty OK to every PING
-// (ignoring any payload), serial READ/WRITE, no tagged verbs.
-func legacyServe(conn net.Conn, store *ObjectStore) {
+// legacyServe answers like a version-1 server built before batching:
+// an empty OK to every PING (ignoring any payload), serial READ/WRITE,
+// no tagged verbs. It counts the data verbs it serves.
+func legacyServe(conn net.Conn, store *ObjectStore, served *int32) {
 	defer conn.Close()
 	for {
 		f, err := rdma.ReadFrame(conn)
 		if err != nil {
 			return
 		}
-		var resp rdma.Frame
+		resp := rdma.ErrFrame("unexpected op")
 		switch f.Op {
 		case rdma.OpPing:
 			resp = rdma.Frame{Op: rdma.OpOK}
-		case rdma.OpRead:
-			req, err := rdma.DecodeRead(f.Payload)
-			if err != nil {
-				resp = rdma.ErrFrame(err.Error())
-				break
-			}
-			resp = rdma.Frame{Op: rdma.OpData, Payload: store.Read(req.DS, req.Idx, req.Size)}
-		case rdma.OpWrite:
-			req, err := rdma.DecodeWrite(f.Payload)
-			if err != nil {
-				resp = rdma.ErrFrame(err.Error())
-				break
-			}
-			store.Write(req.DS, req.Idx, req.Data)
-			resp = rdma.Frame{Op: rdma.OpOK}
-		default:
-			resp = rdma.ErrFrame("unexpected op")
+		case 1, 2: // READ, WRITE
+			atomic.AddInt32(served, 1)
 		}
 		if rdma.WriteFrame(conn, resp) != nil {
 			return
@@ -253,8 +258,14 @@ func legacyServe(conn net.Conn, store *ObjectStore) {
 	}
 }
 
-func TestPipelinedLegacyFallback(t *testing.T) {
+// TestPipelinedRefusesLegacyServer: a version-1 server answers the
+// handshake PING with an empty OK. There is no fallback client any
+// more: the dial fails with ErrProtocolVersion — directly, and through
+// DialResilient once its retry budget is spent — and no data verb ever
+// reaches the peer.
+func TestPipelinedRefusesLegacyServer(t *testing.T) {
 	store := NewObjectStore()
+	var served, conns int32
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -266,66 +277,202 @@ func TestPipelinedLegacyFallback(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go legacyServe(conn, store)
+			atomic.AddInt32(&conns, 1)
+			go legacyServe(conn, store, &served)
 		}
 	}()
 
-	// Direct negotiation: a legacy peer yields ErrNoPipelining and the
-	// connection stays usable for the serial client.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPipelined(conn, PipelineOpts{}); !errors.Is(err, ErrNoPipelining) {
-		t.Fatalf("err = %v, want ErrNoPipelining", err)
+	defer conn.Close()
+	if _, err := NewPipelined(conn, PipelineOpts{}); !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("handshake with a legacy server = %v, want ErrProtocolVersion", err)
 	}
-	serial := NewClientConn(conn)
-	defer serial.Close()
-	if err := serial.WriteObj(1, 2, []byte{0x5A}); err != nil {
-		t.Fatalf("conn unusable after failed negotiation: %v", err)
+	if _, err := DialPipelined(ln.Addr().String(), PipelineOpts{}); !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("DialPipelined = %v, want ErrProtocolVersion", err)
 	}
-
-	// DialAuto falls back to the serial client transparently.
-	sc, err := DialAuto(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	const retries = 3
+	if _, err := DialResilient(ln.Addr().String(), DialConfig{
+		Timeout: time.Second, RetryMax: retries, RetryBase: time.Millisecond,
+	}); !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("DialResilient = %v, want ErrProtocolVersion", err)
 	}
-	defer sc.Close()
-	if _, ok := sc.(*Client); !ok {
-		t.Fatalf("DialAuto against legacy server = %T, want *Client", sc)
+	if got, want := atomic.LoadInt32(&conns), int32(2+retries+1); got != want {
+		t.Fatalf("legacy server saw %d connections, want %d (one per dial attempt)", got, want)
 	}
-	buf := make([]byte, 1)
-	if err := sc.ReadObj(1, 2, buf); err != nil || buf[0] != 0x5A {
-		t.Fatalf("fallback read = %v, %v", buf, err)
+	if n := atomic.LoadInt32(&served); n != 0 {
+		t.Fatalf("legacy server served %d data verbs", n)
 	}
 }
 
-func TestDialAutoPipelined(t *testing.T) {
+// TestDialRejectsWrongVersion: a server whose handshake reply carries
+// another protocol version is refused with ErrProtocolVersion, and
+// DialResilient retries it under the dial budget — the same path a
+// handshake garbled in transit takes — before giving up with it.
+func TestDialRejectsWrongVersion(t *testing.T) {
+	var attempts int32
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				if _, err := rdma.ReadFrame(conn); err != nil {
+					return
+				}
+				atomic.AddInt32(&attempts, 1)
+				reply := rdma.Hello(rdma.OpOK, 0)
+				binary.LittleEndian.PutUint32(reply.Payload, rdma.ProtocolVersion+1)
+				rdma.WriteFrame(conn, reply)
+				io.Copy(io.Discard, conn)
+			}(conn)
+		}
+	}()
+
+	if _, err := DialPipelined(ln.Addr().String(), PipelineOpts{}); !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("DialPipelined = %v, want ErrProtocolVersion", err)
+	}
+	const retries = 4
+	_, err = DialResilient(ln.Addr().String(), DialConfig{
+		Timeout: time.Second, RetryMax: retries, RetryBase: time.Millisecond,
+	})
+	if !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("DialResilient = %v, want ErrProtocolVersion", err)
+	}
+	if got := atomic.LoadInt32(&attempts); got != 1+retries+1 {
+		t.Fatalf("server saw %d handshakes, want %d (1 + the resilient dial's %d attempts)", got, 2+retries, 1+retries)
+	}
+}
+
+// TestServerRefusesWrongVersion: the server answers a PING of another
+// version — and the bare feature mask of a version-1 client — with ERR
+// and closes that connection, while its other sessions keep serving.
+func TestServerRefusesWrongVersion(t *testing.T) {
+	srv, cl := startPipelined(t, PipelineOpts{})
+	addr := srv.ln.Addr().String()
+	if err := cl.WriteObj(1, 1, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	wrong := rdma.Hello(rdma.OpPing, 0)
+	binary.LittleEndian.PutUint32(wrong.Payload, rdma.ProtocolVersion+7)
+	v1 := rdma.Frame{Op: rdma.OpPing, Payload: []byte{0xFF, 0, 0, 0}}
+	for _, ping := range []rdma.Frame{wrong, v1, {Op: rdma.OpPing}} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rdma.WriteFrame(conn, ping); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rdma.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Op != rdma.OpErr || !strings.Contains(string(resp.Payload), "version") {
+			t.Fatalf("wrong-version ping answered %s %q, want ERR about the version", resp.Op, resp.Payload)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := rdma.ReadFrame(conn); !errors.Is(err, io.EOF) {
+			t.Fatalf("connection after a refused handshake: %v, want EOF", err)
+		}
+		conn.Close()
+		// The established session is unaffected.
+		buf := make([]byte, 1)
+		if err := cl.ReadObj(1, 1, buf); err != nil || buf[0] != 9 {
+			t.Fatalf("other session after refusal: %v, %v", buf, err)
+		}
+	}
+	if got := srv.ObsSnapshot().Counter(MetricErrors); got != 3 {
+		t.Fatalf("%s = %d, want 3 refused handshakes", MetricErrors, got)
+	}
+}
+
+// TestServerRejectsDeletedOpcodes: on an established session every verb
+// of the version-1 protocol is answered with a definitive ERR (ERRTAG
+// for tagged opcodes, same tag) naming it unexpected, and the session
+// keeps serving.
+func TestServerRejectsDeletedOpcodes(t *testing.T) {
 	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sc, err := DialAuto(addr)
+	srv.Store.Write(2, 3, []byte{0x77})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	if _, ok := sc.(*PipelinedClient); !ok {
-		t.Fatalf("DialAuto against new server = %T, want *PipelinedClient", sc)
-	}
-	if err := sc.Ping(); err != nil {
+	defer conn.Close()
+	if err := rdma.WriteFrame(conn, rdma.Hello(rdma.OpPing, 0)); err != nil {
 		t.Fatal(err)
+	}
+	if resp, err := rdma.ReadFrame(conn); err != nil || resp.Op != rdma.OpOK {
+		t.Fatalf("handshake = %s, %v", resp.Op, err)
+	}
+	deleted := []rdma.Op{1, 2, 4, rdma.TagBit | 0x01, rdma.TagBit | 0x02, rdma.TagBit | 0x03,
+		rdma.TagBit | 0x04, rdma.TagBit | 0x06, rdma.TagBit | 0x07, rdma.TagBit | 0x08}
+	for i, op := range deleted {
+		req := rdma.Frame{Op: op, Payload: make([]byte, 12)}
+		want := rdma.OpErr
+		if op.Tagged() {
+			req.Tag, want = uint32(100+i), rdma.OpErrTag
+		}
+		if err := rdma.WriteFrameCRC(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rdma.ReadFrameCRC(conn)
+		if err != nil {
+			t.Fatalf("op %d: %v", uint8(op), err)
+		}
+		if resp.Op != want || resp.Tag != req.Tag || !strings.Contains(string(resp.Payload), "unexpected op") {
+			t.Fatalf("op %d answered %s tag %d %q", uint8(op), resp.Op, resp.Tag, resp.Payload)
+		}
+	}
+	// The session survived: a compact read still works.
+	if err := rdma.WriteFrameCRC(conn, rdma.EncodeReadBatchCPooled(7, []rdma.ReadReq{{DS: 2, Idx: 3, Size: 1}})); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := rdma.ReadFrameCRC(conn)
+	if err != nil || resp.Op != rdma.OpDataBatchC || resp.Tag != 7 {
+		t.Fatalf("read after rejections = %s tag %d, %v", resp.Op, resp.Tag, err)
+	}
+	segs, err := rdma.DecodeDataBatchCInto(resp.Payload, nil)
+	if err != nil || len(segs) != 1 || len(segs[0].Data) != 1 || segs[0].Data[0] != 0x77 {
+		t.Fatalf("read after rejections returned %+v, %v", segs, err)
 	}
 }
 
 // TestLegacyClientAgainstNewServer covers the other interop direction:
-// the serial client's plain PING must still get a working session.
+// a version-1 serial client opens with a bare READ (no handshake). The
+// server answers ERR, closes that connection, and keeps serving others.
 func TestLegacyClientAgainstNewServer(t *testing.T) {
-	_, cl := startServer(t)
-	if err := cl.Ping(); err != nil {
+	srv, cl := startPipelined(t, PipelineOpts{})
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer conn.Close()
+	read := rdma.Frame{Op: 1, Payload: make([]byte, 12)} // version-1 READ
+	if err := rdma.WriteFrame(conn, read); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := rdma.ReadFrame(conn)
+	if err != nil || resp.Op != rdma.OpErr {
+		t.Fatalf("legacy READ answered %s %q, %v; want ERR", resp.Op, resp.Payload, err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := rdma.ReadFrame(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("legacy connection after ERR: %v, want EOF", err)
 	}
 	if err := cl.WriteObj(0, 0, []byte{1}); err != nil {
 		t.Fatal(err)
@@ -356,17 +503,11 @@ func TestPipelinedCloseUnblocksInflight(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	go func() {
-		f, err := rdma.ReadFrame(c1)
-		if err != nil || f.Op != rdma.OpPing {
+		if stubHandshake(c1) != nil {
 			return
 		}
-		rdma.WriteFrame(c1, rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(rdma.FeatBatch)})
 		// Swallow whatever arrives, never reply.
-		for {
-			if _, err := rdma.ReadFrame(c1); err != nil {
-				return
-			}
-		}
+		io.Copy(io.Discard, c1)
 	}()
 	cl, err := NewPipelined(c2, PipelineOpts{Window: 2})
 	if err != nil {
@@ -443,9 +584,10 @@ func TestPipelinedMetrics(t *testing.T) {
 	}
 }
 
-// TestSerialClientStalledServer is the satellite regression: Close must
-// never wait behind an in-flight round trip, and the unblocked caller
-// gets ErrClientClosed — as do all later calls.
+// TestSerialClientStalledServer: a serial caller (one blocking op on a
+// Window: 1 client, no deadline) stuck behind a server that never
+// answers must be unblocked by Close with ErrClientClosed — Close never
+// waits behind the in-flight round trip — as must all later calls.
 func TestSerialClientStalledServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -460,12 +602,15 @@ func TestSerialClientStalledServer(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		if stubHandshake(conn) != nil {
+			return
+		}
 		// Read the request, never answer.
-		rdma.ReadFrame(conn)
+		rdma.ReadFrameCRC(conn)
 		<-stop
 	}()
 
-	cl, err := Dial(ln.Addr().String())
+	cl, err := dialSerial(ln.Addr().String(), PipelineOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,9 +644,10 @@ func TestSerialClientStalledServer(t *testing.T) {
 	}
 }
 
-// TestSerialClientBrokenStreamFailsFast: after a mid-flight transport
-// failure the client must refuse new round trips instead of pairing them
-// with stale bytes from the desynchronized stream.
+// TestSerialClientBrokenStreamFailsFast: without a redialer, a
+// mid-flight transport failure fails the serial caller and makes the
+// client refuse new round trips instead of pairing them with stale
+// bytes from the desynchronized stream.
 func TestSerialClientBrokenStreamFailsFast(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -513,11 +659,13 @@ func TestSerialClientBrokenStreamFailsFast(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Read one request, then slam the connection.
-		rdma.ReadFrame(conn)
+		if stubHandshake(conn) == nil {
+			// Read one request, then slam the connection.
+			rdma.ReadFrameCRC(conn)
+		}
 		conn.Close()
 	}()
-	cl, err := Dial(ln.Addr().String())
+	cl, err := dialSerial(ln.Addr().String(), PipelineOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,6 +674,9 @@ func TestSerialClientBrokenStreamFailsFast(t *testing.T) {
 		t.Fatal("read against slammed connection should fail")
 	}
 	// The sticky error keeps later calls from touching the stream.
+	if cl.Alive() {
+		t.Fatal("client without a redialer should fail permanently")
+	}
 	if err := cl.Ping(); err == nil {
 		t.Fatal("ping after transport failure should fail fast")
 	}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"cards/internal/core"
 	"cards/internal/farmem"
@@ -13,7 +14,7 @@ import (
 	"cards/internal/workloads"
 )
 
-func startServer(t *testing.T) (*Server, *Client) {
+func startServer(t *testing.T) (*Server, *PipelinedClient) {
 	t.Helper()
 	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -21,7 +22,7 @@ func startServer(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(addr)
+	cl, err := DialPipelined(addr, PipelineOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cl, err := Dial(addr)
+			cl, err := DialPipelined(addr, PipelineOpts{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -122,7 +123,10 @@ func TestPipeTransport(t *testing.T) {
 	srv := NewServer()
 	c1, c2 := net.Pipe()
 	go srv.ServeConn(c1)
-	cl := NewClientConn(c2)
+	cl, err := NewPipelined(c2, PipelineOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cl.Close()
 	if err := cl.WriteObj(1, 1, []byte{42}); err != nil {
 		t.Fatal(err)
@@ -143,7 +147,7 @@ func TestRuntimeOverTCP(t *testing.T) {
 	srv, cl := startServer(t)
 
 	// Fill-then-sum: the sum pass re-reads objects the fill pass dirtied
-	// and evicted, forcing real READ and WRITE traffic on the wire.
+	// and evicted, forcing real read and write traffic on the wire.
 	m := ir.NewModule("fillsum")
 	n := int64(8192) // 64 KiB over an 8-object (32 KiB) cache
 	f := m.NewFunc("main", ir.Void())
@@ -187,6 +191,39 @@ func TestRuntimeOverTCP(t *testing.T) {
 	t.Logf("TCP run: %d fetches, server reads=%d writes=%d objects=%d",
 		res.Runtime.RemoteFetches, reads, writes, srv.Store.Len())
 	var _ farmem.Store = cl // interface check
+}
+
+// TestServerCloseWithIdleClient pins bounded shutdown: Close must
+// return while a client holds an idle connection open — it closes the
+// tracked connections rather than waiting for clients to leave — and
+// the client sees an ordinary disconnect.
+func TestServerCloseWithIdleClient(t *testing.T) {
+	srv := NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := DialPipelined(addr, PipelineOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Server.Close blocked behind an idle client connection")
+	}
+	if err := cl.Ping(); err == nil {
+		t.Fatal("ping succeeded against a closed server")
+	}
 }
 
 func TestServerCloseIdempotent(t *testing.T) {

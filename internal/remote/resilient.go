@@ -2,7 +2,7 @@ package remote
 
 import "sync"
 
-// Resilient is a StoreConn that survives outages longer than the
+// Resilient is a far-tier client that survives outages longer than the
 // underlying client's reconnect budget. The PipelinedClient replays its
 // window across transient cuts, but once RetryMax consecutive redials
 // fail (server down, not flaky) it fails permanently — the right
@@ -18,27 +18,28 @@ import "sync"
 // probes on its own clock).
 type Resilient struct {
 	addr string
-	cfg  DialConfig
+	opts PipelineOpts
 
 	mu     sync.Mutex
-	cur    StoreConn
+	cur    *PipelinedClient
 	closed bool
 }
 
-// DialResilient connects like DialAutoOpts (the initial dial uses the
+// DialResilient connects like DialPipelined (the initial dial uses the
 // config's full retry budget) and keeps the connection replaceable
 // across permanent client failures.
 func DialResilient(addr string, cfg DialConfig) (*Resilient, error) {
-	c, err := DialAutoOpts(addr, cfg)
+	opts := cfg.pipelineOpts().withRedial(addr)
+	c, err := DialPipelined(addr, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Resilient{addr: addr, cfg: cfg, cur: c}, nil
+	return &Resilient{addr: addr, opts: opts, cur: c}, nil
 }
 
 // client returns the live client, dialing a replacement if the previous
 // one was retired.
-func (r *Resilient) client() (StoreConn, error) {
+func (r *Resilient) client() (*PipelinedClient, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -47,7 +48,7 @@ func (r *Resilient) client() (StoreConn, error) {
 	if r.cur != nil {
 		return r.cur, nil
 	}
-	c, err := dialAutoOnce(r.addr, r.cfg)
+	c, err := dialOnce(r.addr, r.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -55,12 +56,10 @@ func (r *Resilient) client() (StoreConn, error) {
 	return c, nil
 }
 
-// retire drops c if it can no longer serve operations. The serial
-// client redials lazily on its own and is never retired; a pipelined
-// client is retired once its reconnect budget is spent.
-func (r *Resilient) retire(c StoreConn) {
-	pc, ok := c.(*PipelinedClient)
-	if !ok || pc.Alive() {
+// retire drops c once its reconnect budget is spent and it can no
+// longer serve operations.
+func (r *Resilient) retire(c *PipelinedClient) {
+	if c.Alive() {
 		return
 	}
 	r.mu.Lock()
@@ -76,22 +75,17 @@ func (r *Resilient) retire(c StoreConn) {
 	go c.Close()
 }
 
-// retireFallback drops a serial fallback client because the caller
-// needs the epoch verbs only a pipelined session carries. The serial
-// fallback exists for legacy peers, but it is also where a garbled
-// feature handshake lands against a fully capable server — a state a
-// redial fixes and staying put never does. The epoch caller's retry
-// (after ErrEpochUnsupported) then renegotiates on a fresh connection.
-func (r *Resilient) retireFallback(c StoreConn) {
-	r.mu.Lock()
-	if r.cur == c {
-		r.cur = nil
+// retireOnErr wraps an async completion so a failure retires c first.
+func (r *Resilient) retireOnErr(c *PipelinedClient, done func(error)) func(error) {
+	return func(err error) {
+		if err != nil {
+			r.retire(c)
+		}
+		done(err)
 	}
-	r.mu.Unlock()
-	go c.Close()
 }
 
-func (r *Resilient) do(op func(StoreConn) error) error {
+func (r *Resilient) do(op func(*PipelinedClient) error) error {
 	c, err := r.client()
 	if err != nil {
 		return err
@@ -103,65 +97,46 @@ func (r *Resilient) do(op func(StoreConn) error) error {
 	return nil
 }
 
-// ReadObj implements StoreConn.
+// ReadObj implements farmem.Store.
 func (r *Resilient) ReadObj(ds, idx int, dst []byte) error {
-	return r.do(func(c StoreConn) error { return c.ReadObj(ds, idx, dst) })
+	return r.do(func(c *PipelinedClient) error { return c.ReadObj(ds, idx, dst) })
 }
 
-// WriteObj implements StoreConn.
+// WriteObj implements farmem.Store.
 func (r *Resilient) WriteObj(ds, idx int, src []byte) error {
-	return r.do(func(c StoreConn) error { return c.WriteObj(ds, idx, src) })
+	return r.do(func(c *PipelinedClient) error { return c.WriteObj(ds, idx, src) })
 }
 
-// Ping implements StoreConn; it is the usual path that detects a
-// recovered server and triggers the replacement dial.
+// Ping checks liveness; it is the usual path that detects a recovered
+// server and triggers the replacement dial.
 func (r *Resilient) Ping() error {
-	return r.do(func(c StoreConn) error { return c.Ping() })
+	return r.do(func(c *PipelinedClient) error { return c.Ping() })
 }
 
-// IssueRead preserves the async prefetch path when the underlying
-// client is pipelined, falling back to a synchronous read otherwise.
+// IssueRead implements farmem.AsyncStore over the replaceable client.
 func (r *Resilient) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	c, err := r.client()
 	if err != nil {
 		done(err)
 		return
 	}
-	if pc, ok := c.(*PipelinedClient); ok {
-		pc.IssueRead(ds, idx, dst, func(err error) {
-			if err != nil {
-				r.retire(pc)
-			}
-			done(err)
-		})
-		return
-	}
-	done(r.do(func(sc StoreConn) error { return sc.ReadObj(ds, idx, dst) }))
+	c.IssueRead(ds, idx, dst, r.retireOnErr(c, done))
 }
 
-// IssueWrite preserves the async write-back path when the underlying
-// client is pipelined, falling back to a synchronous write otherwise.
-// A failed async write retires the dead client like any other failure,
-// so the caller's reissue finds a fresh connection.
+// IssueWrite implements farmem.AsyncWriteStore over the replaceable
+// client. A failed async write retires the dead client like any other
+// failure, so the caller's reissue finds a fresh connection.
 func (r *Resilient) IssueWrite(ds, idx int, src []byte, done func(error)) {
 	c, err := r.client()
 	if err != nil {
 		done(err)
 		return
 	}
-	if pc, ok := c.(*PipelinedClient); ok {
-		pc.IssueWrite(ds, idx, src, func(err error) {
-			if err != nil {
-				r.retire(pc)
-			}
-			done(err)
-		})
-		return
-	}
-	done(r.do(func(sc StoreConn) error { return sc.WriteObj(ds, idx, src) }))
+	c.IssueWrite(ds, idx, src, r.retireOnErr(c, done))
 }
 
-// Close implements StoreConn.
+// Close closes the current client; later operations fail with
+// ErrClientClosed.
 func (r *Resilient) Close() error {
 	r.mu.Lock()
 	c := r.cur

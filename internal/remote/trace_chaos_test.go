@@ -51,16 +51,10 @@ func TestTraceChaosRecorderBound(t *testing.T) {
 		Seed:      3,
 		Trace:     hub,
 	}
-	// The proxy may cut mid-negotiation; only an established session is
-	// the test subject.
-	var c *PipelinedClient
-	for i := 0; ; i++ {
-		if c, err = DialPipelined(proxy.Addr(), opts); err == nil {
-			break
-		}
-		if i == 20 {
-			t.Fatalf("pipelined dial through proxy: %v", err)
-		}
+	// The proxy may cut mid-handshake; the dial retries under RetryMax.
+	c, err := DialPipelined(proxy.Addr(), opts)
+	if err != nil {
+		t.Fatalf("pipelined dial through proxy: %v", err)
 	}
 	defer c.Close()
 

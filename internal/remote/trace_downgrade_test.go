@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -12,77 +13,6 @@ import (
 	"cards/internal/rdma"
 	"cards/internal/testutil"
 )
-
-// preTraceServe answers the PR-5 batch protocol — batching, CRC,
-// WRITEBATCH — but not the trace extension: the feature reply omits
-// FeatTrace and every frame is parsed and emitted ext-free, exactly
-// like a server built before the extension existed.
-func preTraceServe(conn net.Conn, store *ObjectStore) {
-	defer conn.Close()
-	crc := false
-	for {
-		f, err := rdma.ReadFrameOpts(conn, crc, false)
-		if err != nil {
-			return
-		}
-		var resp rdma.Frame
-		enableCRC := false
-		switch f.Op {
-		case rdma.OpPing:
-			if feats, ok := rdma.DecodeFeatures(f.Payload); ok {
-				resp = rdma.Frame{Op: rdma.OpOK,
-					Payload: rdma.EncodeFeatures(rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch)}
-				enableCRC = feats&rdma.FeatCRC != 0
-			} else {
-				resp = rdma.Frame{Op: rdma.OpOK}
-			}
-		case rdma.OpReadBatch:
-			reqs, derr := rdma.DecodeReadBatch(f.Payload)
-			if derr != nil {
-				resp = rdma.ErrTagFrame(f.Tag, derr.Error())
-				break
-			}
-			segs := make([][]byte, len(reqs))
-			for i, r := range reqs {
-				segs[i] = store.Read(r.DS, r.Idx, r.Size)
-			}
-			if resp, derr = rdma.EncodeDataBatch(f.Tag, segs); derr != nil {
-				resp = rdma.ErrTagFrame(f.Tag, derr.Error())
-			}
-		case rdma.OpWriteTag:
-			req, derr := rdma.DecodeWrite(f.Payload)
-			if derr != nil {
-				resp = rdma.ErrTagFrame(f.Tag, derr.Error())
-				break
-			}
-			store.Write(req.DS, req.Idx, req.Data)
-			resp = rdma.Frame{Op: rdma.OpAckTag, Tag: f.Tag}
-		case rdma.OpWriteBatch:
-			reqs, derr := rdma.DecodeWriteBatch(f.Payload)
-			if derr != nil {
-				resp = rdma.ErrTagFrame(f.Tag, derr.Error())
-				break
-			}
-			for _, r := range reqs {
-				store.Write(r.DS, r.Idx, r.Data)
-			}
-			resp = rdma.EncodeAckBatch(f.Tag, len(reqs))
-		default:
-			resp = rdma.ErrFrame("unexpected op")
-		}
-		if crc {
-			err = rdma.WriteFrameCRC(conn, resp)
-		} else {
-			err = rdma.WriteFrame(conn, resp)
-		}
-		if err != nil {
-			return
-		}
-		if enableCRC {
-			crc = true
-		}
-	}
-}
 
 // recordConn tees everything the client sends into a shared buffer, so
 // the test can compare the session's exact wire bytes afterwards.
@@ -102,51 +32,41 @@ func (r recordConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// preTraceListener starts a pre-trace server that records every byte
+// preTraceListener starts a server that does not grant FeatTrace — as
+// a deployment with tracing disabled answers — and records every byte
 // its clients send; returns the address, the capture, and the live
 // server-side conns (for the test to cut).
-func preTraceListener(t *testing.T) (addr string, mu *sync.Mutex, capture *bytes.Buffer, conns *[]net.Conn) {
+func preTraceListener(t *testing.T) (addr string, mu *sync.Mutex, capture *bytes.Buffer, conns *[]io.ReadWriteCloser) {
 	t.Helper()
-	store := NewObjectStore()
-	store.Write(1, 7, []byte{0xAB, 0xCD})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := NewServer()
+	srv.features &^= rdma.FeatTrace
+	srv.Store.Write(1, 7, []byte{0xAB, 0xCD})
+	mu = &sync.Mutex{}
+	capture = &bytes.Buffer{}
+	conns = &[]io.ReadWriteCloser{}
+	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		rc := recordConn{Conn: c.(net.Conn), mu: mu, buf: capture}
+		mu.Lock()
+		*conns = append(*conns, rc)
+		mu.Unlock()
+		return rc
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	mu = &sync.Mutex{}
-	capture = &bytes.Buffer{}
-	conns = &[]net.Conn{}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			*conns = append(*conns, conn)
-			mu.Unlock()
-			go preTraceServe(recordConn{Conn: conn, mu: mu, buf: capture}, store)
-		}
-	}()
-	t.Cleanup(func() {
-		mu.Lock()
-		for _, c := range *conns {
-			c.Close()
-		}
-		mu.Unlock()
-	})
-	return ln.Addr().String(), mu, capture, conns
+	t.Cleanup(func() { srv.Close() })
+	return addr, mu, capture, conns
 }
 
-// TestPipelinedTraceDowngradeAgainstPreTraceServer mirrors the CRC
-// downgrade test for the trace extension: a trace-enabled pipelined
-// client always asks for FeatTrace, but a pre-trace server's feature
-// reply omits it — the session must downgrade to ext-free framing and
-// keep working, a forced disconnect must renegotiate to the same
-// downgrade on the fresh stream, and every frame the downgraded client
-// sends must be byte-identical to what a client with tracing never
-// configured sends for the same ops.
+// TestPipelinedTraceDowngradeAgainstPreTraceServer pins the one
+// negotiation that can downgrade a session: a trace-enabled pipelined
+// client always asks for FeatTrace, but a server that does not grant it
+// leaves it out of the handshake reply — the session must downgrade to
+// ext-free framing and keep working, a forced disconnect must
+// renegotiate to the same downgrade on the fresh stream, and every
+// frame the downgraded client sends must be byte-identical to what a
+// client with tracing never configured sends for the same ops.
 func TestPipelinedTraceDowngradeAgainstPreTraceServer(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 
@@ -155,7 +75,7 @@ func TestPipelinedTraceDowngradeAgainstPreTraceServer(t *testing.T) {
 
 	// The traced client has a live sampled root active while it works:
 	// the downgrade itself — not the absence of a trace to carry — must
-	// be what keeps the frames legacy.
+	// be what keeps the frames ext-free.
 	hub := obs.NewTraceHub(obs.NewTracer(0), obs.NewFlightRecorder(0, 0), obs.SampleAll)
 	hub.SetActive(hub.StartTrace())
 	defer hub.ClearActive()
@@ -190,7 +110,7 @@ func TestPipelinedTraceDowngradeAgainstPreTraceServer(t *testing.T) {
 		return c.trace
 	}
 	if sessionTrace(traced) {
-		t.Fatal("pre-trace server cannot stamp replies: session must downgrade")
+		t.Fatal("server did not grant FeatTrace: session must downgrade")
 	}
 
 	// The same op sequence on both clients, one op at a time so each op
@@ -212,7 +132,7 @@ func TestPipelinedTraceDowngradeAgainstPreTraceServer(t *testing.T) {
 	chase(traced)
 	chase(plain)
 
-	// Byte-exactness: past the feature PING (whose payload legitimately
+	// Byte-exactness: past the handshake PING (whose payload legitimately
 	// differs by the FeatTrace bit), the downgraded session's wire bytes
 	// are identical to the never-traced session's. Every op above was
 	// acknowledged, so both captures are complete.
@@ -225,7 +145,7 @@ func TestPipelinedTraceDowngradeAgainstPreTraceServer(t *testing.T) {
 	tracedOps := skipFirstFrame(t, tracedBytes)
 	plainOps := skipFirstFrame(t, plainBytes)
 	if !bytes.Equal(tracedOps, plainOps) {
-		t.Fatalf("downgraded session not byte-exact with legacy framing:\n traced %x\n legacy %x",
+		t.Fatalf("downgraded session not byte-exact with untraced framing:\n traced %x\n plain  %x",
 			tracedOps, plainOps)
 	}
 
@@ -245,26 +165,26 @@ func TestPipelinedTraceDowngradeAgainstPreTraceServer(t *testing.T) {
 		t.Fatalf("post-redial read = %x", buf)
 	}
 	if sessionTrace(traced) {
-		t.Fatal("renegotiation against the pre-trace server must downgrade again")
+		t.Fatal("renegotiation against the same server must downgrade again")
 	}
 	if traced.featReq&rdma.FeatTrace == 0 {
 		t.Fatal("the downgrade must not clear the per-connection trace ask")
 	}
 }
 
-// skipFirstFrame drops the leading legacy-framed feature PING from a
+// skipFirstFrame drops the leading plain-framed handshake PING from a
 // captured client stream: u32 payloadLen | u8 op | payload (untagged).
 func skipFirstFrame(t *testing.T, b []byte) []byte {
 	t.Helper()
 	if len(b) < 5 {
-		t.Fatalf("capture too short for a feature ping: %d bytes", len(b))
+		t.Fatalf("capture too short for a handshake ping: %d bytes", len(b))
 	}
 	n := 5 + int(binary.LittleEndian.Uint32(b))
 	if op := rdma.Op(b[4]); op != rdma.OpPing {
 		t.Fatalf("capture does not start with PING: op %s", op)
 	}
 	if len(b) < n {
-		t.Fatalf("truncated feature ping: %d of %d bytes", len(b), n)
+		t.Fatalf("truncated handshake ping: %d of %d bytes", len(b), n)
 	}
 	return b[n:]
 }

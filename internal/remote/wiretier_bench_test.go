@@ -22,19 +22,17 @@ func benchServerRamp(b *testing.B) string {
 	return addr
 }
 
-// BenchmarkWireTierReadTCP pins the CPU cost of the compact wire tier
-// against the legacy batch encoding on a clean loopback link, ramp
-// (non-zero, LZ-compressible) payloads: "compact" must stay within
-// noise of "legacy" — the packed headers and the reserved-header
-// DATABATCH-C fast path are meant to be free when compression is off —
-// while "compact-lz" shows what the adaptive compressor costs when the
-// link is not the bottleneck (the wire sweep shows the inverse trade).
+// BenchmarkWireTierReadTCP pins the CPU cost of adaptive compression on
+// a clean loopback link, ramp (non-zero, LZ-compressible) payloads:
+// "compact" is the reserved-header DATABATCH-C fast path with
+// compression off, and "compact-lz" shows what the adaptive compressor
+// costs when the link is not the bottleneck (the wire sweep shows the
+// inverse trade).
 func BenchmarkWireTierReadTCP(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		opts PipelineOpts
 	}{
-		{"legacy", PipelineOpts{Window: 32, NoCompact: true}},
 		{"compact", PipelineOpts{Window: 32, Compression: "off"}},
 		{"compact-lz", PipelineOpts{Window: 32}},
 	} {

@@ -131,7 +131,7 @@ type member struct {
 	pinger farmem.Pinger          // non-nil iff the backend supports Ping
 	label  string
 
-	dom shardmap.Domain
+	dom farmem.Domain
 
 	inSync     atomic.Bool
 	divergeGen atomic.Uint64

@@ -44,9 +44,10 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// shard is one backend plus its private fault domain (a Domain — the
-// breaker/probe state machine shared with the replica layer) and metric
-// series. One dead backend degrades exactly the keys it owns.
+// shard is one backend plus its private fault domain (a farmem.Domain —
+// the breaker/probe state machine the runtime and the replica layer
+// drive too) and metric series. One dead backend degrades exactly the
+// keys it owns.
 type shard struct {
 	store   farmem.Store
 	astore  farmem.AsyncStore      // non-nil iff the backend supports IssueRead
@@ -55,7 +56,7 @@ type shard struct {
 	chaser  farmem.AsyncChaseStore // non-nil iff the backend supports IssueChase
 	pinger  farmem.Pinger          // non-nil iff the backend supports Ping
 
-	dom Domain
+	dom farmem.Domain
 
 	// lastRecovery is the RecoveryEpoch value stamped when this shard
 	// last recovered — the drain-scoping cue that lets the runtime drain

@@ -372,28 +372,20 @@ func TestReplicaKillRestartSequenceUnderCorruption(t *testing.T) {
 	proxies := make([]*faultnet.Proxy, nBackends)
 	backends := make([]farmem.Store, nBackends)
 	dial := func(i int) *remote.Resilient {
-		// Under corruption the feature handshake itself can garble and
-		// land the fallback serial client; the epoch path retires such a
-		// client and renegotiates, but start from a clean session.
-		for try := 0; try < 50; try++ {
-			c, err := remote.DialResilient(proxies[i].Addr(), remote.DialConfig{
-				Timeout:   300 * time.Millisecond,
-				RetryMax:  8,
-				RetryBase: time.Millisecond,
-				RetryCap:  20 * time.Millisecond,
-				Window:    8,
-				MaxBatch:  2,
-			})
-			if err != nil {
-				continue
-			}
-			if c.EpochCapable() {
-				return c
-			}
-			c.Close()
+		// A handshake garbled by the corrupting proxy fails the dial
+		// attempt, which retries under RetryMax.
+		c, err := remote.DialResilient(proxies[i].Addr(), remote.DialConfig{
+			Timeout:   300 * time.Millisecond,
+			RetryMax:  8,
+			RetryBase: time.Millisecond,
+			RetryCap:  20 * time.Millisecond,
+			Window:    8,
+			MaxBatch:  2,
+		})
+		if err != nil {
+			t.Fatalf("backend %d: dial through the corrupting proxy: %v", i, err)
 		}
-		t.Fatalf("backend %d: no epoch-capable session through the corrupting proxy", i)
-		return nil
+		return c
 	}
 	for i := range srvs {
 		srvs[i] = remote.NewServer()
