@@ -52,8 +52,10 @@ trace-smoke:
 # BENCH_chase.json / BENCH_wire.json baselines (the guarded values are
 # in-run ratios, so host speed cancels out; the chase gate pins the
 # hop-budget-16 speedup, the wire gate pins the analytics workload's
-# bytes-per-op reduction over the plain compact rung). Pass or fail, it
-# prints the per-row measured-vs-baseline delta tables.
+# bytes-per-op reduction over the plain compact rung, and the
+# wire-loopback gate pins adaptive compression's throughput against the
+# raw rung on an unshaped link). Pass or fail, it prints the per-row
+# measured-vs-baseline delta tables.
 benchguard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_pipeline.json -writeback-baseline BENCH_writeback.json -replica-baseline BENCH_replica.json -chase-baseline BENCH_chase.json -wire-baseline BENCH_wire.json
 
@@ -87,7 +89,8 @@ bench-smoke: bench-writeback
 	@cat BENCH_pipeline.json
 
 # bench-writeback runs the sync-vs-async dirty write-back sweep (real
-# TCP loopback with injected per-frame RTT) and records the table.
+# TCP loopback whose server side delays every read call by 200µs — at
+# least four calls per request frame) and records the table.
 bench-writeback:
 	$(GO) run ./cmd/cardsbench -exp writeback -scale quick -json > BENCH_writeback.json
 	@cat BENCH_writeback.json
@@ -103,16 +106,18 @@ bench-replica:
 
 # bench-chase runs the server-side traversal-offload sweep (dependent
 # per-hop reads vs one CHASEBATCH per hop-budget window, real TCP
-# loopback with 200µs injected per-frame RTT, hop budgets 2..64) and
+# loopback whose server side delays every read call by 200µs — at least
+# four calls, so >=800µs, per request frame — hop budgets 2..64) and
 # records the table.
 bench-chase:
 	$(GO) run ./cmd/cardsbench -exp chase -scale quick -json > BENCH_chase.json
 	@cat BENCH_chase.json
 
 # bench-wire runs the wire-efficiency ladder (compact encoding with
-# compression off → +adaptive LZ compression → +compiler-aided
-# dirty-range write-back) over a bandwidth-shaped TCP loopback and
-# records bytes-on-wire per op and end-to-end throughput per rung.
+# compression off → +adaptive compression → +compiler-aided
+# dirty-range write-back) over a bandwidth-shaped TCP loopback, plus the
+# first two rungs over unshaped loopback, and records bytes-on-wire per
+# op and end-to-end throughput per rung.
 bench-wire:
 	$(GO) run ./cmd/cardsbench -exp wire -scale quick -json > BENCH_wire.json
 	@cat BENCH_wire.json

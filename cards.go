@@ -141,11 +141,9 @@ type Config struct {
 	// breakers. Only meaningful with RemoteAddr/RemoteAddrs set.
 	BreakerThreshold int
 
-	// Compression controls adaptive per-object compression on the
-	// compact wire tier (negotiated with the server): "" or "adaptive"
-	// compresses objects whose observed compressibility pays for the
-	// CPU, sampling incompressible structures only occasionally; "off"
-	// ships every object raw.
+	// Compression selects the far-tier compression mode: "" or
+	// "adaptive" (the default), or "off". Any other value makes New
+	// fail. See remote.PipelineOpts.Compression for what each mode does.
 	Compression string
 	// DirtyRangeWriteback ships only the modified byte ranges of a dirty
 	// object at eviction: the runtime tracks a per-object dirty rectangle
@@ -196,6 +194,9 @@ type Runtime struct {
 // a whole lookahead window rides one doorbell). A server on another
 // protocol version is refused with remote.ErrProtocolVersion.
 func New(cfg Config) (*Runtime, error) {
+	if _, err := remote.ParseCompression(cfg.Compression); err != nil {
+		return nil, fmt.Errorf("cards: %w", err)
+	}
 	fc := farmem.Config{
 		PinnedBudget:    cfg.PinnedMemory,
 		RemotableBudget: cfg.RemotableMemory,

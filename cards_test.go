@@ -244,6 +244,33 @@ func TestBadRemoteAddr(t *testing.T) {
 	}
 }
 
+func TestCompressionModes(t *testing.T) {
+	srv := remote.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		mode string
+		ok   bool
+	}{
+		{"", true}, {"adaptive", true}, {"off", true},
+		{"auto", false}, {"OFF", false}, {"none", false},
+	} {
+		// Checked with and without a far tier: a typo fails either way.
+		for _, remoteAddr := range []string{"", addr} {
+			r, err := New(Config{RemotableMemory: 4096, RemoteAddr: remoteAddr, Compression: tc.mode})
+			if (err == nil) != tc.ok {
+				t.Errorf("New(Compression %q, RemoteAddr %q) error = %v, want ok=%v", tc.mode, remoteAddr, err, tc.ok)
+			}
+			if r != nil {
+				r.Close()
+			}
+		}
+	}
+}
+
 // Property: a map behaves exactly like Go's built-in map under random
 // operation sequences.
 func TestMapModelProperty(t *testing.T) {

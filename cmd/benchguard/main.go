@@ -9,7 +9,10 @@
 // retention over its in-run R=1 baseline, the offloaded pointer chase's
 // speedup over dependent per-hop reads (pinned at hop budget 16), or the
 // compact+compression+range tier's bytes-on-wire reduction over the
-// plain compact rung (pinned at the analytics workload) has regressed.
+// plain compact rung (pinned at the analytics workload) has regressed,
+// or adaptive compression has stopped keeping pace with the raw rung
+// on an unshaped loopback link (the analytics-loopback compact+lz row's
+// "tput vs compact" — LZ coming back on a fast link fails it).
 //
 // The guard compares *speedups over the in-run baseline row*, not
 // absolute throughput: both sides of the ratio come from the same
@@ -48,6 +51,12 @@ type table struct {
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
 }
+
+// wireLoopbackThreshold is the wire-loopback gate's floor as a share of
+// its baseline: the minimum fresh/baseline "tput vs compact" of the
+// analytics-loopback compact+lz row. With LZ pinned on, that row runs
+// at ~0.55x of raw against a ~0.95x baseline, far below the floor.
+const wireLoopbackThreshold = 0.75
 
 // gate is one guarded sweep: a checked-in baseline table, the fresh
 // sweep that regenerates it, and the shape of its speedup column.
@@ -115,6 +124,8 @@ func main() {
 		})
 	}
 	if *wireBase != "" {
+		// Both wire gates read the same table: they share its runs.
+		wire := &sweepCache{run: func() (*bench.Table, error) { return bench.Wire(bench.Quick()) }}
 		gates = append(gates, gate{
 			name:      "wire",
 			baseline:  *wireBase,
@@ -122,7 +133,15 @@ func main() {
 			ratioCol:  "bytes vs compact",
 			rowKey:    "analytics",
 			rowKey2:   "compact+lz+range",
-			run:       func() (*bench.Table, error) { return bench.Wire(bench.Quick()) },
+			run:       wire.reader(),
+		}, gate{
+			name:      "wire-loopback",
+			baseline:  *wireBase,
+			threshold: wireLoopbackThreshold,
+			ratioCol:  "tput vs compact",
+			rowKey:    "analytics-loopback",
+			rowKey2:   "compact+lz",
+			run:       wire.reader(),
 		})
 	}
 
@@ -134,6 +153,30 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
+	}
+}
+
+// sweepCache runs a sweep once per attempt and replays the tables to
+// every gate reading it, so gates guarding different columns of one
+// table share its runs.
+type sweepCache struct {
+	run    func() (*bench.Table, error)
+	tables []*bench.Table
+}
+
+// reader returns one gate's view: its i-th call yields the i-th run.
+func (s *sweepCache) reader() func() (*bench.Table, error) {
+	i := 0
+	return func() (*bench.Table, error) {
+		if i == len(s.tables) {
+			t, err := s.run()
+			if err != nil {
+				return nil, err
+			}
+			s.tables = append(s.tables, t)
+		}
+		i++
+		return s.tables[i-1], nil
 	}
 }
 

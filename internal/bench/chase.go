@@ -19,9 +19,12 @@ const (
 	// chaseRingObjs is the chain length; the walk wraps around the ring
 	// so any walk length exercises the same working set.
 	chaseRingObjs = 4096
-	// chaseNetLatency is injected into every server-side frame read:
-	// loopback alone is CPU-bound and would hide exactly the RTT that
-	// server-side traversal amortises across a whole path.
+	// chaseNetLatency is the faultnet Latency on the server's
+	// connection: loopback alone is CPU-bound and would hide exactly the
+	// RTT that server-side traversal amortises across a whole path.
+	// faultnet delays every Read call, and the server reads each tagged
+	// frame with at least four (header, tag, payload, CRC trailer), so a
+	// request frame waits at least 4 x chaseNetLatency.
 	chaseNetLatency = 200 * time.Microsecond
 	chaseDS         = 1
 )
@@ -31,7 +34,8 @@ const (
 var chaseDepths = []int{2, 4, 8, 16, 32, 64}
 
 // Chase measures dependent pointer chasing over a real TCP loopback
-// connection with injected per-frame service latency: the per-hop
+// connection whose server side delays every read call (see
+// chaseNetLatency): the per-hop
 // baseline pays one READ round trip per object (pipelining cannot help
 // — each hop's address is inside the previous hop's bytes), while the
 // offloaded mode ships a traversal program to the server and gets the
@@ -60,7 +64,7 @@ func Chase(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "chase",
-		Title: fmt.Sprintf("Server-side traversal offload vs per-hop pointer chasing, %d hops x %dB, %v injected RTT",
+		Title: fmt.Sprintf("Server-side traversal offload vs per-hop pointer chasing, %d hops x %dB, %v injected per server read call (>=4 per frame)",
 			walk, chaseObjSize, chaseNetLatency),
 		Header: []string{"mode", "hop budget", "hops/s", "round trips", "vs per-hop"},
 	}

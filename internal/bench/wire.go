@@ -40,40 +40,46 @@ var wireModes = []wireMode{
 // Wire measures bytes-on-wire per remote operation and end-to-end run
 // time at a fixed simulated link bandwidth, across the wire-tier
 // feature ladder: the bit-packed compact encoding with objects raw,
-// plus adaptive per-object LZ compression, plus compiler-aided
-// dirty-range write-back.
+// plus adaptive compression, plus compiler-aided dirty-range
+// write-back.
 // Two compiled workloads cover the two traffic shapes: the analytics
 // table scan (bulk column reads and writes, highly compressible ramp
 // data) and the pointer chase (small dependent reads, header-dominated
-// frames).
+// frames). The analytics-loopback rows rerun the first two rungs on an
+// unshaped loopback link, the other regime: there adaptive compression
+// must switch LZ off and keep pace with the raw rung.
 func Wire(cfg Config) (*Table, error) {
+	taxi := func() (*ir.Module, error) {
+		return workloads.BuildTaxi(workloads.TaxiConfig{
+			Trips: cfg.TaxiTrips, HotPasses: cfg.HotPasses, Seed: cfg.Seed}).Module, nil
+	}
 	works := []struct {
-		name  string
-		build func() (*ir.Module, error)
+		name      string
+		build     func() (*ir.Module, error)
+		bandwidth int // link bytes/s each way; 0 = unshaped loopback
+		modes     []wireMode
 	}{
-		{"analytics", func() (*ir.Module, error) {
-			return workloads.BuildTaxi(workloads.TaxiConfig{
-				Trips: cfg.TaxiTrips, HotPasses: cfg.HotPasses, Seed: cfg.Seed}).Module, nil
-		}},
+		{"analytics", taxi, wireBandwidth, wireModes},
 		{"pointerchase", func() (*ir.Module, error) {
 			w, err := workloads.BuildChase("list", workloads.ChaseConfig{N: cfg.ChaseN, Seed: cfg.Seed})
 			if err != nil {
 				return nil, err
 			}
 			return w.Module, nil
-		}},
+		}, wireBandwidth, wireModes},
+		{"analytics-loopback", taxi, 0, wireModes[:2]},
 	}
 
 	t := &Table{
 		ID: "wire",
-		Title: fmt.Sprintf("Wire efficiency across the compact/compression/range ladder, %d MiB/s simulated link",
+		Title: fmt.Sprintf("Wire efficiency across the compact/compression/range ladder, %d MiB/s simulated link and unshaped loopback",
 			wireBandwidth>>20),
 		Header: []string{"workload", "mode", "KB/op", "wire MB", "ops", "wall", "bytes vs compact", "tput vs compact"},
 	}
 	for _, w := range works {
 		var base *wireResult
-		for i, mode := range wireModes {
-			r, err := runWire(w.build, mode)
+		for i, mode := range w.modes {
+			r, err := runWire(w.build, mode, w.bandwidth)
 			if err != nil {
 				return nil, fmt.Errorf("wire %s/%s: %w", w.name, mode.name, err)
 			}
@@ -81,7 +87,7 @@ func Wire(cfg Config) (*Table, error) {
 				base = r
 			} else if r.checksum != base.checksum {
 				return nil, fmt.Errorf("wire %s/%s: checksum %#x != %s %#x — the wire tier changed the program's result",
-					w.name, mode.name, r.checksum, wireModes[0].name, base.checksum)
+					w.name, mode.name, r.checksum, w.modes[0].name, base.checksum)
 			}
 			t.Rows = append(t.Rows, []string{
 				w.name, mode.name,
@@ -98,6 +104,7 @@ func Wire(cfg Config) (*Table, error) {
 		"every mode runs the same compiled workload to the same checksum; only the wire tier differs",
 		"KB/op = total frame bytes both directions / (remote fetches + write-backs); wall-clock includes the final drain",
 		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs compact' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
+		"analytics-loopback runs unshaped: the codec costs more than the bytes it saves, so adaptive compression must turn LZ off and 'tput vs compact' stay near 1x",
 		"compact = bit-packed batch frames with compression off (objects ship raw); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
 	return t, nil
 }
@@ -117,12 +124,15 @@ func (r *wireResult) perOp() float64 {
 	return float64(r.wireBytes) / float64(r.ops)
 }
 
-// runWire executes one compiled workload over a fresh bandwidth-shaped
-// server with the mode's wire features and returns the traffic tally.
-func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, error) {
+// runWire executes one compiled workload over a fresh server, its link
+// shaped to bandwidth bytes/s (0: unshaped), with the mode's wire
+// features and returns the traffic tally.
+func runWire(build func() (*ir.Module, error), mode wireMode, bandwidth int) (*wireResult, error) {
 	srv := remote.NewServer()
-	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
-		return faultnet.Wrap(c, faultnet.Config{Bandwidth: wireBandwidth, Seed: 1})
+	if bandwidth > 0 {
+		srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+			return faultnet.Wrap(c, faultnet.Config{Bandwidth: bandwidth, Seed: 1})
+		}
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -14,10 +14,13 @@ import (
 const (
 	// wbObjSize matches the runtime's page-sized object granularity.
 	wbObjSize = 4096
-	// wbNetLatency is injected into every server-side frame read,
+	// wbNetLatency is the faultnet Latency on the server's connection,
 	// standing in for the far tier's network round trip: loopback alone
 	// is CPU-bound and would hide exactly the RTT the async pipeline
-	// exists to take off the eviction path.
+	// exists to take off the eviction path. faultnet delays every Read
+	// call, and the server reads each tagged frame with at least four
+	// (header, tag, payload, CRC trailer), so a request frame waits at
+	// least 4 x wbNetLatency before the server can serve it.
 	wbNetLatency = 200 * time.Microsecond
 	// wbWorkingSet and wbCacheObjs size the dirty walk so every touch
 	// past warm-up is a miss that must evict a dirty object first.
@@ -33,7 +36,7 @@ const (
 // trip per eviction, on the deref critical path) against the
 // asynchronous batched pipeline (evictions staged to pooled buffers and
 // flushed as batched write frames), over a real TCP loopback connection
-// with injected per-frame service latency.
+// whose server side delays every read call (see wbNetLatency).
 func Writeback(cfg Config) (*Table, error) {
 	writes := int(cfg.WritebackWrites)
 	if writes <= 0 {
@@ -57,7 +60,7 @@ func Writeback(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "writeback",
-		Title: fmt.Sprintf("Dirty-eviction write-back, sync vs async pipeline, %d writes x %dB, %v injected RTT",
+		Title: fmt.Sprintf("Dirty-eviction write-back, sync vs async pipeline, %d writes x %dB, %v injected per server read call (>=4 per frame)",
 			writes, wbObjSize, wbNetLatency),
 		Header: []string{"mode", "batch", "writebacks/s", "access p50", "access p99", "staged", "vs sync"},
 	}

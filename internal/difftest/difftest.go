@@ -57,8 +57,8 @@ type Config struct {
 	// and duplicated writes: a lost or misapplied extent would surface
 	// as a checksum divergence on the next fetch of that object.
 	RangeWriteback bool
-	// Compression sets the compact tier's compression mode for the
-	// remote modes ("" = adaptive, "off" = raw).
+	// Compression sets the compression mode of the remote modes (see
+	// remote.PipelineOpts.Compression).
 	Compression string
 }
 

@@ -19,7 +19,9 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // format (version 0.0.4, the /metrics payload). Counters and gauges map
 // directly; each histogram becomes the conventional _bucket (cumulative,
 // le-labelled) / _sum / _count triple. Series are emitted in lexical
-// order so the output is deterministic.
+// order so the output is deterministic. A metric described in the
+// registry (Registry.Describe) gets # HELP and # UNIT lines ahead of
+// its # TYPE line.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	typed := make(map[string]bool) // base name -> TYPE line emitted
 	emitType := func(base, kind string) error {
@@ -27,6 +29,11 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 			return nil
 		}
 		typed[base] = true
+		if d, ok := s.Docs[base]; ok {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# UNIT %s %s\n", base, d.Help, base, d.Unit); err != nil {
+				return err
+			}
+		}
 		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, kind)
 		return err
 	}

@@ -170,3 +170,30 @@ func TestPrometheusHistogramConformance(t *testing.T) {
 		t.Errorf("empty histogram buckets = %+v, want single +Inf of 0", empty)
 	}
 }
+
+// TestPrometheusDescribedMetric checks that a described metric's
+// # HELP and # UNIT lines precede its single # TYPE line, and that an
+// undescribed one gets neither.
+func TestPrometheusDescribedMetric(t *testing.T) {
+	reg := NewRegistry()
+	reg.Describe("cards_test_on", "bool", "Whether the test feature is on.")
+	reg.Gauge("cards_test_on", "shard", "0").Set(1)
+	reg.Gauge("cards_test_on", "shard", "1")
+	reg.Counter("cards_test_plain_total").Inc()
+	var buf bytes.Buffer
+	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP cards_test_on Whether the test feature is on.\n" +
+		"# UNIT cards_test_on bool\n" +
+		"# TYPE cards_test_on gauge\n" +
+		"cards_test_on{shard=\"0\"} 1\n" +
+		"cards_test_on{shard=\"1\"} 0\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition lacks the described block %q:\n%s", want, buf.String())
+	}
+	if strings.Contains(buf.String(), "# HELP cards_test_plain_total") ||
+		strings.Contains(buf.String(), "# UNIT cards_test_plain_total") {
+		t.Fatalf("undescribed metric got a description:\n%s", buf.String())
+	}
+}

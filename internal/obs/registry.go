@@ -31,6 +31,13 @@ type Registry struct {
 	counters map[string]*stats.Counter
 	gauges   map[string]*stats.Gauge
 	hists    map[string]*stats.Histogram
+	docs     map[string]MetricDoc // metric name (no labels) -> description
+}
+
+// MetricDoc describes a metric name: its unit and one line of help.
+type MetricDoc struct {
+	Unit string
+	Help string
 }
 
 // NewRegistry creates an empty registry.
@@ -39,7 +46,17 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*stats.Counter),
 		gauges:   make(map[string]*stats.Gauge),
 		hists:    make(map[string]*stats.Histogram),
+		docs:     make(map[string]MetricDoc),
 	}
+}
+
+// Describe attaches a unit and help text to a metric name (every series
+// under it); the Prometheus exposition emits them as # HELP and # UNIT
+// lines. A later call for the same name replaces the description.
+func (r *Registry) Describe(name, unit, help string) {
+	r.mu.Lock()
+	r.docs[name] = MetricDoc{Unit: unit, Help: help}
+	r.mu.Unlock()
 }
 
 // Key renders a metric name plus label pairs ("k", "v", ...) into the
@@ -165,6 +182,9 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	// Docs carries the registry's metric descriptions, keyed by metric
+	// name, for the Prometheus exposition.
+	Docs map[string]MetricDoc `json:"-"`
 }
 
 // Snapshot copies the current value of every series.
@@ -175,6 +195,10 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   make(map[string]uint64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Docs:       make(map[string]MetricDoc, len(r.docs)),
+	}
+	for k, d := range r.docs {
+		s.Docs[k] = d
 	}
 	for k, c := range r.counters {
 		s.Counters[k] = c.Load()

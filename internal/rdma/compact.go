@@ -22,7 +22,7 @@ import "fmt"
 //
 // Compact payloads (after the bit-stream header, A = byte alignment):
 //
-//	READBATCH-C:  count | tuples(ds?,Δidx,size?)                    | A
+//	READBATCH-C:  raw | count | tuples(ds?,Δidx,size?)              | A
 //	DATABATCH-C:  count | segs(scheme,rawLen[,compLen])             | A | blobs
 //	WRITEBATCH-C: count | tuples(ds?,Δidx[,epoch],kind,
 //	              [objSize,extents],scheme[,lens])                  | A | blobs
@@ -40,6 +40,12 @@ import "fmt"
 // the range's base image was stale (see internal/remote: the client
 // treats a set bit as a failed write and lets the replica layer mark
 // the member divergent).
+//
+// The leading raw bit of a READBATCH-C is the client's per-session
+// compression decision for the reply: set, the server ships every
+// segment of this batch raw (or zero) without attempting LZ, even on a
+// FeatCompress session. The client sets it while its latency controller
+// has judged LZ not worth its CPU on this link (internal/remote).
 
 // Compact opcodes.
 const (
@@ -91,9 +97,21 @@ func compactCountOK(count uint64, p []byte) bool {
 func readBatchCBound(n int) int { return 6 + 16*n }
 
 // EncodeReadBatchCPooled builds a READBATCH-C frame with a pooled
-// payload; the caller should PutBuf it after the frame is written.
+// payload whose replies may be compressed; the caller should PutBuf it
+// after the frame is written.
 func EncodeReadBatchCPooled(tag uint32, reqs []ReadReq) Frame {
+	return encodeReadBatchC(tag, reqs, false)
+}
+
+// EncodeReadBatchCRawPooled is EncodeReadBatchCPooled with the raw bit
+// set: the server answers every segment uncompressed.
+func EncodeReadBatchCRawPooled(tag uint32, reqs []ReadReq) Frame {
+	return encodeReadBatchC(tag, reqs, true)
+}
+
+func encodeReadBatchC(tag uint32, reqs []ReadReq, raw bool) Frame {
 	w := NewBitWriter(GetBuf(readBatchCBound(len(reqs))))
+	w.WriteBit(raw)
 	w.Uvarint(uint64(len(reqs)))
 	var prev ReadReq
 	for i, r := range reqs {
@@ -127,10 +145,15 @@ func EncodeReadBatchCPooled(tag uint32, reqs []ReadReq) Frame {
 	return Frame{Op: OpReadBatchC, Tag: tag, Payload: p}
 }
 
+// ReadBatchCRaw reports whether a READBATCH-C payload has its raw bit
+// set (the bit is the stream's first, bit 0 of byte 0).
+func ReadBatchCRaw(p []byte) bool { return len(p) > 0 && p[0]&1 != 0 }
+
 // DecodeReadBatchCInto parses a READBATCH-C payload, appending
-// into a caller-owned slice.
+// into a caller-owned slice. The raw bit is skipped; see ReadBatchCRaw.
 func DecodeReadBatchCInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
 	r := NewBitReader(p)
+	r.ReadBit()
 	count := r.Uvarint()
 	if !compactCountOK(count, p) {
 		return nil, fmt.Errorf("rdma: READBATCH-C count %d exceeds payload", count)

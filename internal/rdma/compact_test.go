@@ -176,6 +176,14 @@ func TestReadBatchCRoundTrip(t *testing.T) {
 		if fr.Op != OpReadBatchC || fr.Tag != 9 {
 			t.Fatalf("case %d: bad frame %v", ci, fr.Op)
 		}
+		raw := EncodeReadBatchCRawPooled(9, reqs)
+		if ReadBatchCRaw(fr.Payload) || !ReadBatchCRaw(raw.Payload) {
+			t.Fatalf("case %d: raw bit %v/%v, want false/true", ci, ReadBatchCRaw(fr.Payload), ReadBatchCRaw(raw.Payload))
+		}
+		if rawGot, err := DecodeReadBatchCInto(raw.Payload, nil); err != nil || len(rawGot) != len(reqs) {
+			t.Fatalf("case %d: raw decode: %d tuples, %v", ci, len(rawGot), err)
+		}
+		PutBuf(raw.Payload)
 		got, err := DecodeReadBatchCInto(fr.Payload, nil)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", ci, err)

@@ -49,6 +49,9 @@ func FuzzFrameDecode(f *testing.F) {
 	seeds := []Frame{
 		Hello(OpPing, FeatTrace|FeatCompress),
 		Hello(OpOK, FeatCompress),
+		// A version-2 PING, from the dialect before the READBATCH-C raw
+		// bit: a hello of another version, refused by the server.
+		{Op: OpPing, Payload: []byte{2, 0, 0, 0, byte(FeatTrace | FeatCompress), 0, 0, 0}},
 		{Op: OpPing},
 		{Op: OpOK},
 		ErrFrame("remote store: no such object"),
@@ -65,7 +68,7 @@ func FuzzFrameDecode(f *testing.F) {
 		seeds = append(seeds, db)
 	}
 	// The verbs of the version-1 protocol, as a version-1 peer framed
-	// them: a version-2 decoder must parse the frames without panicking,
+	// them: the current decoder must parse the frames without panicking,
 	// name the opcodes unknown, and leave them to the server's
 	// unexpected-op rejection. The feature-mask PING is the version-1
 	// handshake.
@@ -110,6 +113,13 @@ func FuzzFrameDecode(f *testing.F) {
 		{DS: 2, Idx: 100, Size: 4096}, {DS: 2, Idx: 101, Size: 4096},
 		{DS: 5, Idx: 3, Size: 64}, {DS: 5, Idx: 1, Size: 0},
 	}))
+	// The same batch with the raw-replies bit set, and an empty raw
+	// batch (the shape of a liveness ping on a session with LZ off).
+	seeds = append(seeds, EncodeReadBatchCRawPooled(25, []ReadReq{
+		{DS: 2, Idx: 100, Size: 4096}, {DS: 2, Idx: 101, Size: 4096},
+		{DS: 5, Idx: 3, Size: 64}, {DS: 5, Idx: 1, Size: 0},
+	}))
+	seeds = append(seeds, EncodeReadBatchCRawPooled(26, nil))
 	{
 		var b DataBatchCBuilder
 		b.Add(make([]byte, 256), true)                              // zero
@@ -277,9 +287,17 @@ func FuzzFrameDecode(f *testing.F) {
 			// The compact encodings are non-canonical (a repeated DS may
 			// arrive as either the same-DS bit or an explicit varint), so
 			// the invariant is semantic: decode → encode → decode is an
-			// identity on the decoded form.
+			// identity on the decoded form, raw bit included.
 			if reqs, err := DecodeReadBatchCInto(fr.Payload, nil); err == nil {
+				raw := ReadBatchCRaw(fr.Payload)
 				re := EncodeReadBatchCPooled(fr.Tag, reqs)
+				if raw {
+					PutBuf(re.Payload)
+					re = EncodeReadBatchCRawPooled(fr.Tag, reqs)
+				}
+				if ReadBatchCRaw(re.Payload) != raw {
+					t.Fatalf("READBATCH-C raw bit changed: %v != %v", ReadBatchCRaw(re.Payload), raw)
+				}
 				got, err := DecodeReadBatchCInto(re.Payload, nil)
 				if err != nil {
 					t.Fatalf("READBATCH-C re-decode: %v", err)

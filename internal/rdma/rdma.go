@@ -32,7 +32,7 @@
 //	OK:               u32 version | u32 features
 //	ERR:              utf-8 message
 //	ERRTAG:           utf-8 message (tagged reply to a failed tagged request)
-//	READBATCH-C:      compact read tuples                  -> DATABATCH-C   (compact.go)
+//	READBATCH-C:      raw bit | compact read tuples        -> DATABATCH-C   (compact.go)
 //	DATABATCH-C:      compact scatter-gather reply
 //	WRITEBATCH-C:     compact write tuples                 -> ACKBATCH-C
 //	WRITEEPOCHBATCH-C: epoch-stamped compact write tuples  -> ACKBATCH-C
@@ -234,8 +234,9 @@ func ErrTagFrame(tag uint32, msg string) Frame {
 // framing after the handshake, the compact batch verbs, the epoch and
 // chase verbs, and the two negotiable features below. Version 1 was the
 // per-feature negotiation protocol whose PING carried a bare feature
-// mask; peers on any other version are refused at the handshake.
-const ProtocolVersion uint32 = 2
+// mask; version 2 had no raw bit in front of READBATCH-C tuples. Peers
+// on any other version are refused at the handshake.
+const ProtocolVersion uint32 = 3
 
 // Negotiable features (u32 bit mask in the handshake). Everything else
 // in the dialect is mandatory.
@@ -244,8 +245,12 @@ const (
 	// client's span context out, the server's timing stamps back.
 	FeatTrace uint32 = 1 << 3
 	// FeatCompress: the peer accepts LZ-compressed segments in compact
-	// batches (compact.go). Off keeps objects raw inside the same
-	// frames, for CPU-bound deployments or benchmarking.
+	// batches (compact.go). It permits LZ, it does not mandate it: on a
+	// FeatCompress session the client decides per session, from measured
+	// read latency, whether LZ pays on this link — its write tuples ship
+	// raw and its READBATCH-Cs carry the raw bit while it does not — and
+	// both ends still skip data structures that do not shrink. Off keeps
+	// every object raw inside the same frames.
 	FeatCompress uint32 = 1 << 7
 
 	// Features is every negotiable bit.

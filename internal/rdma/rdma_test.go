@@ -130,7 +130,7 @@ var allOps = []Op{
 
 // deletedOps are the opcode values of the version-1 verbs (READ, WRITE,
 // DATA, READBATCH, DATABATCH, WRITETAG, ACKTAG, WRITEBATCH, ACKBATCH,
-// WRITEEPOCHBATCH); a version-2 peer treats them as unexpected.
+// WRITEEPOCHBATCH); a current peer treats them as unexpected.
 var deletedOps = []Op{1, 2, 4, TagBit | 0x01, TagBit | 0x02, TagBit | 0x03, TagBit | 0x04,
 	TagBit | 0x06, TagBit | 0x07, TagBit | 0x08}
 

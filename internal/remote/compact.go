@@ -229,9 +229,9 @@ func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Exte
 }
 
 // serveBatchC handles one READBATCH-C frame on a worker goroutine. Each
-// object is staged, classified (zero /
-// compressed / raw — compression only when the session negotiated
-// FeatCompress and the adaptive policy expects the DS to shrink), and
+// object is staged, classified (zero / compressed / raw — compression
+// only when the session negotiated FeatCompress, the request's raw bit
+// is clear, and the adaptive policy expects the DS to shrink), and
 // packed into one DATABATCH-C reply by the worker's pooled builder.
 func (s *Server) serveBatchC(j batchJob, connID int, send func(rdma.Frame) error, trace, compress bool, scratch []rdma.ReadReq, cb *rdma.DataBatchCBuilder) []rdma.ReadReq {
 	f := j.f
@@ -265,7 +265,7 @@ func (s *Server) serveBatchC(j batchJob, connID int, send func(rdma.Frame) error
 	// layout: the staged object bytes become the frame payload directly,
 	// skipping the copy-assembly of the LZ-capable path.
 	tryBatch := false
-	if compress {
+	if compress && !rdma.ReadBatchCRaw(f.Payload) {
 		for _, r := range reqs {
 			if s.cpolicy.shouldCompress(r.DS) {
 				tryBatch = true

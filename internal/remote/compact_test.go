@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net"
 	"testing"
+	"time"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
@@ -110,6 +112,86 @@ func TestCompactCompressionShrinksWire(t *testing.T) {
 	}
 	if withLZ*2 >= raw {
 		t.Fatalf("compression saved too little on compressible data: lz=%d raw=%d", withLZ, raw)
+	}
+}
+
+// TestServerHonoursRawBit: on a FeatCompress session the server
+// compresses a compressible object unless the READBATCH-C carries the
+// raw bit, which makes it ship the same object raw.
+func TestServerHonoursRawBit(t *testing.T) {
+	srv := NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	obj := compressible(4096)
+	srv.Store.Write(1, 0, obj)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if feats, err := negotiate(conn, time.Second, rdma.FeatCompress); err != nil || feats != rdma.FeatCompress {
+		t.Fatalf("handshake granted %#x, %v", feats, err)
+	}
+	reqs := []rdma.ReadReq{{DS: 1, Idx: 0, Size: 4096}}
+	for i, f := range []rdma.Frame{
+		rdma.EncodeReadBatchCPooled(1, reqs),
+		rdma.EncodeReadBatchCRawPooled(2, reqs),
+	} {
+		if err := rdma.WriteFrameCRC(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rdma.ReadFrameCRC(conn)
+		if err != nil || resp.Op != rdma.OpDataBatchC {
+			t.Fatalf("reply %d: %s, %v", i, resp.Op, err)
+		}
+		segs, err := rdma.DecodeDataBatchCInto(resp.Payload, nil)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("reply %d: %+v, %v", i, segs, err)
+		}
+		want := rdma.SchemeLZ
+		if rdma.ReadBatchCRaw(f.Payload) {
+			want = rdma.SchemeRaw
+		}
+		if segs[0].Scheme != want || (want == rdma.SchemeRaw && !bytes.Equal(segs[0].Data, obj)) {
+			t.Fatalf("reply %d (raw bit %v): scheme %d, want %d", i, rdma.ReadBatchCRaw(f.Payload), segs[0].Scheme, want)
+		}
+	}
+}
+
+// TestClientShipsRawWhileLZOff: while the session's controller has LZ
+// off, the flusher ships compressible writes raw and asks for raw read
+// replies; with it on, both directions compress.
+func TestClientShipsRawWhileLZOff(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	for _, on := range []bool{true, false} {
+		reg := obs.NewRegistry()
+		_, cl := startPipelined(t, PipelineOpts{Obs: reg})
+		// Before any traffic: the reader goroutine reads lzc only on
+		// completions, which synchronize with this goroutine through mu.
+		cl.lzc.on = on
+		cl.lzOn.Store(on)
+		for i := 0; i < 16; i++ {
+			if err := cl.WriteObj(1, i, compressible(4096)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 4096)
+		for i := 0; i < 16; i++ {
+			if err := cl.ReadObj(1, i, buf); err != nil || !bytes.Equal(buf, compressible(4096)) {
+				t.Fatalf("on=%v: read %d: %v", on, i, err)
+			}
+		}
+		snap := reg.Snapshot()
+		out := snap.Counter(MetricWireBytes, "verb", "WRITEBATCH-C")
+		in := snap.Counter(MetricWireBytes, "verb", "DATABATCH-C")
+		if lz := out < 16*2048 && in < 16*2048; lz != on {
+			t.Fatalf("LZ on=%v: %d write bytes, %d reply bytes for 16 x 4 KiB each way", on, out, in)
+		}
+		cl.Close()
 	}
 }
 

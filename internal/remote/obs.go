@@ -76,6 +76,14 @@ const (
 	MetricClientUncertainWrites = "cards_remote_client_uncertain_writes_total"
 	MetricClientReplayedReads   = "cards_remote_client_replayed_reads_total"
 
+	// Session compression control (adaptive sessions; see lzctl.go):
+	// the home mode of the latency controller (1 = LZ on, label "shard"
+	// when set), its home-mode switches, and the reads it completed in
+	// probe mode.
+	MetricCompressOn       = "cards_remote_compress_on"
+	MetricCompressSwitches = "cards_remote_compress_switches_total"
+	MetricCompressProbeOps = "cards_remote_compress_probe_ops_total"
+
 	// Latency attribution (FeatTrace sessions only). Every completed op
 	// decomposes into four clock-offset-free durations — client queue
 	// (enqueue to doorbell), wire (RTT minus the server-reported busy
@@ -230,6 +238,9 @@ type pipeMetrics struct {
 	timeouts          *stats.Counter
 	uncertainWrites   *stats.Counter
 	replayedReads     *stats.Counter
+	compressOn        *stats.Gauge
+	compressSwitches  *stats.Counter
+	compressProbeOps  *stats.Counter
 	wire              *wireMetrics
 }
 
@@ -301,23 +312,36 @@ func (a *attribCache) observe(ds uint32, cqUS, wireUS, sqUS, ssUS uint64) {
 	da.serverService.Observe(ssUS)
 }
 
-func newPipeMetrics(reg *obs.Registry) *pipeMetrics {
+func newPipeMetrics(reg *obs.Registry, shard string) *pipeMetrics {
 	if reg == nil {
 		return nil
 	}
+	reg.Describe(MetricCompressOn, "bool",
+		"Session LZ decision of the latency controller: 1 while compression is on, 0 while off or not negotiated.")
+	reg.Describe(MetricCompressSwitches, "switches",
+		"Times the latency controller switched a session's LZ home mode.")
+	reg.Describe(MetricCompressProbeOps, "ops",
+		"Reads completed while the latency controller probed the other LZ mode.")
+	var shardLabel []string
+	if shard != "" {
+		shardLabel = []string{"shard", shard}
+	}
 	return &pipeMetrics{
-		readNS:          reg.Histogram(MetricClientReadNS),
-		writeNS:         reg.Histogram(MetricClientWriteNS),
-		batchReads:      reg.Histogram(MetricClientBatchSize),
-		batchWrites:     reg.Histogram(MetricClientWriteBatchSize),
-		inflight:        reg.Gauge(MetricClientInflight),
-		inflightWrites:  reg.Gauge(MetricClientInflightWrites),
-		bytesIn:         reg.Counter(MetricBytesIn),
-		bytesOut:        reg.Counter(MetricBytesOut),
-		reconnects:      reg.Counter(MetricClientReconnects),
-		timeouts:        reg.Counter(MetricClientTimeouts),
-		uncertainWrites: reg.Counter(MetricClientUncertainWrites),
-		replayedReads:   reg.Counter(MetricClientReplayedReads),
-		wire:            newWireMetrics(reg),
+		readNS:           reg.Histogram(MetricClientReadNS),
+		writeNS:          reg.Histogram(MetricClientWriteNS),
+		batchReads:       reg.Histogram(MetricClientBatchSize),
+		batchWrites:      reg.Histogram(MetricClientWriteBatchSize),
+		inflight:         reg.Gauge(MetricClientInflight),
+		inflightWrites:   reg.Gauge(MetricClientInflightWrites),
+		bytesIn:          reg.Counter(MetricBytesIn),
+		bytesOut:         reg.Counter(MetricBytesOut),
+		reconnects:       reg.Counter(MetricClientReconnects),
+		timeouts:         reg.Counter(MetricClientTimeouts),
+		uncertainWrites:  reg.Counter(MetricClientUncertainWrites),
+		replayedReads:    reg.Counter(MetricClientReplayedReads),
+		compressOn:       reg.Gauge(MetricCompressOn, shardLabel...),
+		compressSwitches: reg.Counter(MetricCompressSwitches),
+		compressProbeOps: reg.Counter(MetricCompressProbeOps),
+		wire:             newWireMetrics(reg),
 	}
 }

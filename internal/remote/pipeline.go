@@ -10,6 +10,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cards/internal/obs"
@@ -67,10 +68,19 @@ type PipelineOpts struct {
 	// label.
 	Shard string
 
-	// Compression controls adaptive per-object compression: "" or
-	// "auto" requests rdma.FeatCompress and lets the per-DS policy decide
-	// online which objects to compress; "off" never requests the feature
-	// (objects ship raw inside the same compact frames).
+	// Compression selects the compact tier's compression mode; it is
+	// the one definition cards.Config and DialConfig pass through.
+	//
+	//   - "" or "adaptive" requests rdma.FeatCompress and decides online,
+	//     at two levels: per session, a latency controller keeps LZ on
+	//     only while reads complete clearly faster with it than without
+	//     (off on fast links, where the codec costs more than the bytes
+	//     it saves; on on slow ones); per data structure, objects that do
+	//     not shrink are skipped.
+	//   - "off" never requests the feature: objects ship raw inside the
+	//     same compact frames.
+	//
+	// Any other value is an error (see ParseCompression).
 	Compression string
 
 	// Timeout bounds the handshake and, on deadline-capable connections,
@@ -97,6 +107,18 @@ type PipelineOpts struct {
 	Seed      int64
 }
 
+// ParseCompression validates a Compression mode and reports whether it
+// selects adaptive compression.
+func ParseCompression(mode string) (adaptive bool, err error) {
+	switch mode {
+	case "", "adaptive":
+		return true, nil
+	case "off":
+		return false, nil
+	}
+	return false, fmt.Errorf("remote: unknown Compression mode %q (want \"\", \"adaptive\" or \"off\")", mode)
+}
+
 func (o PipelineOpts) withDefaults() PipelineOpts {
 	if o.Window <= 0 {
 		o.Window = 64
@@ -120,6 +142,7 @@ type pipeOp struct {
 	wantEp        bool // ride the epoch-stamped verbs
 	chase         bool // ride the traversal-offload verbs
 	probe         bool // liveness ping: not workload, kept out of tracing
+	lz            bool // sent while the session's LZ controller had LZ on
 	ds, idx, size uint32
 	epoch         uint64           // write: stamp to apply; read: stamp received
 	dst           []byte           // read destination
@@ -236,6 +259,8 @@ type PipelinedClient struct {
 	featReq uint32         // features requested on every handshake
 	attrib  *attribCache   // reader-goroutine-owned; nil without Obs+Trace
 	cpolicy compressPolicy // per-DS adaptive compression state
+	lzc     *lzController  // reader-goroutine-owned; nil unless adaptive LZ was granted
+	lzOn    atomic.Bool    // lzc's current mode, read by the flusher
 }
 
 // negotiate runs the version handshake on a fresh connection, asking
@@ -271,11 +296,15 @@ func negotiate(conn io.ReadWriteCloser, d time.Duration, req uint32) (feats uint
 // NewPipelined runs the version handshake on conn and, on success,
 // returns a running pipelined client.
 func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient, error) {
+	adaptive, err := ParseCompression(opts.Compression)
+	if err != nil {
+		return nil, err
+	}
 	var req uint32
 	if opts.Trace != nil {
 		req |= rdma.FeatTrace
 	}
-	if opts.Compression != "off" {
+	if adaptive {
 		req |= rdma.FeatCompress
 	}
 	feats, err := negotiate(conn, opts.Timeout, req)
@@ -296,13 +325,20 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 		pending:  make(map[uint32][]*pipeOp),
 		rng:      rand.New(rand.NewSource(seed)),
 		stop:     make(chan struct{}),
-		metrics:  newPipeMetrics(opts.Obs),
+		metrics:  newPipeMetrics(opts.Obs, opts.Shard),
 		hub:      opts.Trace,
 		shard:    opts.Shard,
 		featReq:  req,
 	}
 	if opts.Trace != nil {
 		c.attrib = newAttribCache(opts.Obs, opts.Shard)
+	}
+	if c.compress {
+		c.lzc = newLZController()
+		c.lzOn.Store(true)
+		if m := c.metrics; m != nil {
+			m.compressOn.Set(1)
+		}
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.wg.Add(2)
@@ -317,6 +353,9 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 // under the same backoff budget as later reconnects — so a flaky link,
 // or a handshake garbled in transit, at startup is survived too.
 func DialPipelined(addr string, opts PipelineOpts) (*PipelinedClient, error) {
+	if _, err := ParseCompression(opts.Compression); err != nil {
+		return nil, err
+	}
 	opts = opts.withRedial(addr)
 	seed := opts.Seed
 	if seed == 0 {
@@ -386,7 +425,8 @@ type DialConfig struct {
 
 	Obs *obs.Registry
 
-	// Trace/Shard/Compression pass through to PipelineOpts.
+	// Trace/Shard/Compression pass through to PipelineOpts (which
+	// defines the Compression modes).
 	Trace       *obs.TraceHub
 	Shard       string
 	Compression string
@@ -412,7 +452,7 @@ func (c *PipelinedClient) enqueue(op *pipeOp) {
 		op.complete(err)
 		return
 	}
-	if c.metrics != nil || c.hub != nil {
+	if c.metrics != nil || c.hub != nil || c.lzc != nil {
 		op.start = time.Now()
 	}
 	if c.hub != nil {
@@ -700,9 +740,11 @@ func (c *PipelinedClient) flushable() bool {
 // plain reads coalesced into READBATCH-C, epoch reads into
 // READEPOCHBATCH, chases into CHASEBATCH, writes into WRITEBATCH-C or
 // WRITEEPOCHBATCH-C — and flushes the buffered writer once per wakeup.
-// It parks while a reconnect is in progress and resumes against the
-// fresh connection. Frame payloads come from the rdma buffer pool and
-// return to it once written.
+// The session's LZ mode (lzOn, set by the controller) decides per
+// wakeup whether write tuples may compress and whether READBATCH-Cs
+// carry the raw bit. It parks while a reconnect is in progress and
+// resumes against the fresh connection. Frame payloads come from the
+// rdma buffer pool and return to it once written.
 func (c *PipelinedClient) flushLoop() {
 	defer c.wg.Done()
 	var reqs []rdma.ReadReq     // scratch, reused across wakeups
@@ -722,7 +764,8 @@ func (c *PipelinedClient) flushLoop() {
 		gen := c.gen
 		bw := c.bw
 		trace := c.trace
-		compress := c.compress
+		lz := c.lzOn.Load()
+		compress := c.compress && lz
 		var now time.Time
 		if trace {
 			now = time.Now() // doorbell timestamp shared by this wakeup's ops
@@ -762,6 +805,7 @@ func (c *PipelinedClient) flushLoop() {
 				} else {
 					reqs = append(reqs, rdma.ReadReq{DS: op.ds, Idx: op.idx, Size: op.size})
 				}
+				op.lz = lz
 				ops = append(ops, op)
 				c.queue = c.queue[1:]
 				space--
@@ -773,8 +817,10 @@ func (c *PipelinedClient) flushLoop() {
 				f = rdma.EncodeChaseBatchPooled(tag, creqs)
 			case ops[0].wantEp:
 				f = rdma.EncodeReadEpochBatchPooled(tag, reqs)
-			default:
+			case compress:
 				f = rdma.EncodeReadBatchCPooled(tag, reqs)
+			default:
+				f = rdma.EncodeReadBatchCRawPooled(tag, reqs)
 			}
 			if trace {
 				stampTraceFrame(&f, ops, now)
@@ -1175,6 +1221,30 @@ func (c *PipelinedClient) observeOp(op *pipeOp) {
 	}
 }
 
+// sampleLZ feeds one completed plain or epoch read to the session's
+// LZ controller and publishes its mode to the flusher.
+func (c *PipelinedClient) sampleLZ(op *pipeOp) {
+	probeOp, switched := c.lzc.observe(op.lz, time.Since(op.start).Nanoseconds())
+	if lz := c.lzc.lz(); lz != c.lzOn.Load() {
+		c.lzOn.Store(lz)
+	}
+	m := c.metrics
+	if m == nil {
+		return
+	}
+	if probeOp {
+		m.compressProbeOps.Inc()
+	}
+	if switched {
+		m.compressSwitches.Inc()
+		var on int64
+		if c.lzc.on {
+			on = 1
+		}
+		m.compressOn.Set(on)
+	}
+}
+
 // Op label values for slow-op records and merged spans.
 const (
 	opNameRead  = "read"
@@ -1199,6 +1269,9 @@ const (
 // on the reader goroutine; off the sampled path it allocates nothing.
 func (c *PipelinedClient) finishOp(op *pipeOp, stamped bool, queueUS, serviceUS uint32) {
 	c.observeOp(op)
+	if c.lzc != nil && !op.write && !op.chase && !op.probe && !op.start.IsZero() {
+		c.sampleLZ(op)
+	}
 	if c.hub == nil || !stamped || op.probe || op.start.IsZero() || op.sentAt.IsZero() {
 		return
 	}

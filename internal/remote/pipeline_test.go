@@ -330,8 +330,9 @@ func TestDialRejectsWrongVersion(t *testing.T) {
 					return
 				}
 				atomic.AddInt32(&attempts, 1)
+				// A version-2 server: it would ignore the raw bit.
 				reply := rdma.Hello(rdma.OpOK, 0)
-				binary.LittleEndian.PutUint32(reply.Payload, rdma.ProtocolVersion+1)
+				binary.LittleEndian.PutUint32(reply.Payload, 2)
 				rdma.WriteFrame(conn, reply)
 				io.Copy(io.Discard, conn)
 			}(conn)
@@ -354,7 +355,8 @@ func TestDialRejectsWrongVersion(t *testing.T) {
 }
 
 // TestServerRefusesWrongVersion: the server answers a PING of another
-// version — and the bare feature mask of a version-1 client — with ERR
+// version — a future one, version 2's, and the bare feature mask of a
+// version-1 client — with ERR
 // and closes that connection, while its other sessions keep serving.
 func TestServerRefusesWrongVersion(t *testing.T) {
 	srv, cl := startPipelined(t, PipelineOpts{})
@@ -364,8 +366,11 @@ func TestServerRefusesWrongVersion(t *testing.T) {
 	}
 	wrong := rdma.Hello(rdma.OpPing, 0)
 	binary.LittleEndian.PutUint32(wrong.Payload, rdma.ProtocolVersion+7)
+	// A version-2 client: its READBATCH-Cs would lack the raw bit.
+	v2 := rdma.Hello(rdma.OpPing, rdma.FeatCompress)
+	binary.LittleEndian.PutUint32(v2.Payload, 2)
 	v1 := rdma.Frame{Op: rdma.OpPing, Payload: []byte{0xFF, 0, 0, 0}}
-	for _, ping := range []rdma.Frame{wrong, v1, {Op: rdma.OpPing}} {
+	for _, ping := range []rdma.Frame{wrong, v2, v1, {Op: rdma.OpPing}} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -391,8 +396,8 @@ func TestServerRefusesWrongVersion(t *testing.T) {
 			t.Fatalf("other session after refusal: %v, %v", buf, err)
 		}
 	}
-	if got := srv.ObsSnapshot().Counter(MetricErrors); got != 3 {
-		t.Fatalf("%s = %d, want 3 refused handshakes", MetricErrors, got)
+	if got := srv.ObsSnapshot().Counter(MetricErrors); got != 4 {
+		t.Fatalf("%s = %d, want 4 refused handshakes", MetricErrors, got)
 	}
 }
 
