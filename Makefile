@@ -89,8 +89,9 @@ bench-smoke: bench-writeback
 	@cat BENCH_pipeline.json
 
 # bench-writeback runs the sync-vs-async dirty write-back sweep (real
-# TCP loopback whose server side delays every read call by 200µs — at
-# least four calls per request frame) and records the table.
+# TCP loopback whose server side delays every read call by 200µs — the
+# server reads through a 16 KiB buffer, so about once per buffer fill)
+# and records the table.
 bench-writeback:
 	$(GO) run ./cmd/cardsbench -exp writeback -scale quick -json > BENCH_writeback.json
 	@cat BENCH_writeback.json
@@ -106,9 +107,9 @@ bench-replica:
 
 # bench-chase runs the server-side traversal-offload sweep (dependent
 # per-hop reads vs one CHASEBATCH per hop-budget window, real TCP
-# loopback whose server side delays every read call by 200µs — at least
-# four calls, so >=800µs, per request frame — hop budgets 2..64) and
-# records the table.
+# loopback whose server side delays every read call by 200µs — about
+# once per buffer fill of its 16 KiB buffered reader, so once per
+# request frame here — hop budgets 2..64) and records the table.
 bench-chase:
 	$(GO) run ./cmd/cardsbench -exp chase -scale quick -json > BENCH_chase.json
 	@cat BENCH_chase.json

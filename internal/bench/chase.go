@@ -22,9 +22,9 @@ const (
 	// chaseNetLatency is the faultnet Latency on the server's
 	// connection: loopback alone is CPU-bound and would hide exactly the
 	// RTT that server-side traversal amortises across a whole path.
-	// faultnet delays every Read call, and the server reads each tagged
-	// frame with at least four (header, tag, payload, CRC trailer), so a
-	// request frame waits at least 4 x chaseNetLatency.
+	// faultnet delays every Read call, and the server reads through a
+	// 16 KiB buffer (rdma.FrameBufSize), so the delay lands about once
+	// per buffer fill: a request frame waits about one chaseNetLatency.
 	chaseNetLatency = 200 * time.Microsecond
 	chaseDS         = 1
 )
@@ -64,7 +64,7 @@ func Chase(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "chase",
-		Title: fmt.Sprintf("Server-side traversal offload vs per-hop pointer chasing, %d hops x %dB, %v injected per server read call (>=4 per frame)",
+		Title: fmt.Sprintf("Server-side traversal offload vs per-hop pointer chasing, %d hops x %dB, %v injected per server read call (~1 per buffer fill)",
 			walk, chaseObjSize, chaseNetLatency),
 		Header: []string{"mode", "hop budget", "hops/s", "round trips", "vs per-hop"},
 	}

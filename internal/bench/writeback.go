@@ -18,9 +18,10 @@ const (
 	// standing in for the far tier's network round trip: loopback alone
 	// is CPU-bound and would hide exactly the RTT the async pipeline
 	// exists to take off the eviction path. faultnet delays every Read
-	// call, and the server reads each tagged frame with at least four
-	// (header, tag, payload, CRC trailer), so a request frame waits at
-	// least 4 x wbNetLatency before the server can serve it.
+	// call, and the server reads through a 16 KiB buffer
+	// (rdma.FrameBufSize), so the delay lands about once per buffer
+	// fill: a request frame, or a burst of them that arrived together,
+	// waits about one wbNetLatency before the server can serve it.
 	wbNetLatency = 200 * time.Microsecond
 	// wbWorkingSet and wbCacheObjs size the dirty walk so every touch
 	// past warm-up is a miss that must evict a dirty object first.
@@ -60,7 +61,7 @@ func Writeback(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "writeback",
-		Title: fmt.Sprintf("Dirty-eviction write-back, sync vs async pipeline, %d writes x %dB, %v injected per server read call (>=4 per frame)",
+		Title: fmt.Sprintf("Dirty-eviction write-back, sync vs async pipeline, %d writes x %dB, %v injected per server read call (~1 per buffer fill)",
 			writes, wbObjSize, wbNetLatency),
 		Header: []string{"mode", "batch", "writebacks/s", "access p50", "access p99", "staged", "vs sync"},
 	}

@@ -1,7 +1,10 @@
 package rdma
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"net"
 	"testing"
 )
 
@@ -338,5 +341,139 @@ func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 	}
 	if !bytes.Equal(stored[16:48], extBytes[:32]) || !bytes.Equal(stored[256:320], extBytes[32:96]) {
 		t.Fatalf("range apply corrupted the object")
+	}
+}
+
+// TestFrameWriterBufferedSteadyStateAllocFree pins the doorbell path of
+// the session frame writer: small frames (a read request, a traced
+// reply, an ack) copied into the coalescing buffer and flushed in one
+// write must not touch the heap.
+func TestFrameWriterBufferedSteadyStateAllocFree(t *testing.T) {
+	var sink bytes.Buffer
+	var frames uint64
+	fw := NewFrameWriter(&sink, func(n uint64) { frames += n })
+	reqs := []ReadReq{{DS: 1, Idx: 0, Size: 4096}, {DS: 1, Idx: 1, Size: 4096}}
+	reply := Frame{Op: OpDataBatchC, Tag: 8, Payload: bytes.Repeat([]byte{7}, 512)}
+	reply.SetServerStamp(1, 2, 3)
+	iter := func() {
+		sink.Reset()
+		req := EncodeReadBatchCPooled(7, reqs)
+		if err := fw.WriteFrame(req); err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(req.Payload)
+		if err := fw.WriteFrame(reply); err != nil {
+			t.Fatal(err)
+		}
+		ack := EncodeAckBatchC(9, 3, nil)
+		if err := fw.WriteFrame(ack); err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(ack.Payload)
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		iter()
+	}
+	if avg := testing.AllocsPerRun(200, iter); avg >= 1 {
+		t.Fatalf("buffered frame writes allocate %.2f times per flush, want ~0", avg)
+	}
+	if frames != 3*(8+201) {
+		t.Fatalf("onWrite saw %d frames, want %d", frames, 3*(8+201))
+	}
+}
+
+// TestFrameWriterVectoredTCPSteadyStateAllocFree pins the large-frame
+// path over a real *net.TCPConn, where net.Buffers takes the writev
+// branch: a frame larger than the coalescing buffer must leave in one
+// vectored write without the iovec slice or the Buffers header escaping
+// to the heap.
+func TestFrameWriterVectoredTCPSteadyStateAllocFree(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, c)
+		c.Close()
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := conn.(*net.TCPConn); !ok {
+		t.Fatalf("dialed %T, want *net.TCPConn", conn)
+	}
+	fw := NewFrameWriter(conn, nil)
+	small := Frame{Op: OpAckBatchC, Tag: 1, Payload: []byte{1, 0}}
+	big := Frame{Op: OpDataBatchC, Tag: 2, Payload: bytes.Repeat([]byte{0xEE}, 64<<10)}
+	iter := func() {
+		if err := fw.WriteFrame(small); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteFrame(big); err != nil {
+			t.Fatal(err)
+		}
+		if len(fw.buf) != 0 {
+			t.Fatal("large frame did not take the vectored path")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		iter()
+	}
+	avg := testing.AllocsPerRun(100, iter)
+	conn.Close()
+	<-done
+	if avg >= 1 {
+		t.Fatalf("vectored frame writes allocate %.2f times per frame, want ~0", avg)
+	}
+}
+
+// TestBufferedReadFramePooledSteadyStateAllocFree pins the session read
+// path: ReadFramePooled through a FrameBufSize bufio.Reader — small
+// frames served from the buffer, a large payload read straight into
+// its pooled destination — must not touch the heap.
+func TestBufferedReadFramePooledSteadyStateAllocFree(t *testing.T) {
+	var wire bytes.Buffer
+	frames := []Frame{
+		{Op: OpAckBatchC, Tag: 1, Payload: []byte{1, 0}},
+		{Op: OpDataBatchC, Tag: 2, Payload: bytes.Repeat([]byte{3}, 4096)},
+		{Op: OpDataBatchC, Tag: 3, Payload: bytes.Repeat([]byte{4}, 2*FrameBufSize)},
+	}
+	for _, f := range frames {
+		if err := WriteFrameCRC(&wire, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rd bytes.Reader
+	br := bufio.NewReaderSize(&rd, FrameBufSize)
+	iter := func() {
+		rd.Reset(wire.Bytes())
+		br.Reset(&rd)
+		for i := range frames {
+			f, err := ReadFramePooled(br, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Tag != frames[i].Tag || len(f.Payload) != len(frames[i].Payload) {
+				t.Fatalf("frame %d: tag %d, %d B", i, f.Tag, len(f.Payload))
+			}
+			PutBuf(f.Payload)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		iter()
+	}
+	if avg := testing.AllocsPerRun(200, iter); avg >= 1 {
+		t.Fatalf("buffered frame reads allocate %.2f times per pass, want ~0", avg)
 	}
 }

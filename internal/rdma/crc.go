@@ -57,7 +57,9 @@ func frameCRC(f Frame) uint32 {
 // crcSize is the per-frame overhead of checksummed framing.
 const crcSize = 4
 
-// WriteFrameCRC writes one frame followed by its CRC32-C trailer.
+// WriteFrameCRC writes one frame followed by its CRC32-C trailer,
+// unbuffered (three writes). Sessions send through a FrameWriter, which
+// puts the same bytes on the wire in one write.
 func WriteFrameCRC(w io.Writer, f Frame) error {
 	if err := WriteFrame(w, f); err != nil {
 		return err

@@ -156,9 +156,9 @@ func (f Frame) WireSize() uint64 {
 	return n
 }
 
-// WriteFrame encodes and writes one frame. Writing through a buffered
-// writer and flushing once per group of frames is the doorbell-coalescing
-// path: many frames, one syscall.
+// WriteFrame encodes and writes one frame, unbuffered: header and
+// payload are separate writes. Sessions send through a FrameWriter
+// (frameio.go) instead; this form serves the plain-framed handshake.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFrame {
 		return fmt.Errorf("rdma: frame too large (%d bytes)", len(f.Payload))
@@ -167,16 +167,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 	// interface call, costing one heap allocation per frame.
 	hdr := GetBuf(headerSize + tagSize + traceExtSize)
 	defer PutBuf(hdr)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(f.Payload)))
-	hdr[4] = byte(f.Op)
-	n := headerSize
-	if f.Op.Tagged() {
-		binary.LittleEndian.PutUint32(hdr[headerSize:], f.Tag)
-		n += tagSize
-		if f.HasExt {
-			n += copy(hdr[n:], f.Ext[:])
-		}
-	}
+	n := putHeader(hdr, f)
 	if _, err := w.Write(hdr[:n]); err != nil {
 		return err
 	}

@@ -59,6 +59,12 @@ const (
 	MetricClientInflightWrites = "cards_remote_client_inflight_writes"
 	MetricClientWriteBatchSize = "cards_remote_client_batch_writes"
 
+	// Socket writes: frames carried by each write of server replies and
+	// of client doorbell flushes (rdma.FrameWriter). Above 1 the doorbell
+	// coalesced frames into one system call.
+	MetricReplyFramesPerWrite  = "cards_remote_reply_frames_per_write"
+	MetricClientFramesPerWrite = "cards_remote_client_frames_per_write"
+
 	// Traversal offload: CHASEBATCH frames served, traversal programs
 	// executed, and the hops walked on the client's behalf — each hop is
 	// a round trip the session did not pay.
@@ -119,10 +125,13 @@ type serverMetrics struct {
 	batchReads            *stats.Histogram
 	batchWrites           *stats.Histogram
 	chaseNS               *stats.Histogram
+	writeFrames           *stats.Histogram // frames per socket write
 	wire                  *wireMetrics
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
+	reg.Describe(MetricReplyFramesPerWrite, "frames",
+		"Reply frames carried by each socket write of the server (doorbell coalescing: 1 = one write per reply, at most 2).")
 	return &serverMetrics{
 		reads:        reg.Counter(MetricReads),
 		writes:       reg.Counter(MetricWrites),
@@ -143,6 +152,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		batchReads:   reg.Histogram(MetricBatchReads),
 		batchWrites:  reg.Histogram(MetricBatchWrites),
 		chaseNS:      reg.Histogram(MetricChaseNS),
+		writeFrames:  reg.Histogram(MetricReplyFramesPerWrite),
 		wire:         newWireMetrics(reg),
 	}
 }
@@ -241,6 +251,7 @@ type pipeMetrics struct {
 	compressOn        *stats.Gauge
 	compressSwitches  *stats.Counter
 	compressProbeOps  *stats.Counter
+	writeFrames       *stats.Histogram // frames per socket write
 	wire              *wireMetrics
 }
 
@@ -322,6 +333,8 @@ func newPipeMetrics(reg *obs.Registry, shard string) *pipeMetrics {
 		"Times the latency controller switched a session's LZ home mode.")
 	reg.Describe(MetricCompressProbeOps, "ops",
 		"Reads completed while the latency controller probed the other LZ mode.")
+	reg.Describe(MetricClientFramesPerWrite, "frames",
+		"Request frames carried by each socket write of the client's doorbell flusher.")
 	var shardLabel []string
 	if shard != "" {
 		shardLabel = []string{"shard", shard}
@@ -342,6 +355,7 @@ func newPipeMetrics(reg *obs.Registry, shard string) *pipeMetrics {
 		compressOn:       reg.Gauge(MetricCompressOn, shardLabel...),
 		compressSwitches: reg.Counter(MetricCompressSwitches),
 		compressProbeOps: reg.Counter(MetricCompressProbeOps),
+		writeFrames:      reg.Histogram(MetricClientFramesPerWrite),
 		wire:             newWireMetrics(reg),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"cards/internal/obs"
 )
@@ -59,6 +60,11 @@ func TestServerObsConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	// The server settles the inflight gauge and the span of a request
+	// after its reply leaves; drain it so the snapshot sees them all.
+	if !srv.Drain(5 * time.Second) {
+		t.Fatal("server did not drain")
 	}
 
 	const total = conns * perConn

@@ -207,10 +207,12 @@ func (op *pipeOp) replay() {
 //
 // Data path: callers enqueue operations without touching the socket. A
 // flusher goroutine drains the queue, coalesces consecutive reads into
-// batch frames, and pushes everything through one buffered write and
-// a single flush — the doorbell: one syscall rings out many verbs. A
-// reader goroutine demultiplexes completions by tag, so replies may
-// arrive in any order.
+// batch frames, and pushes everything through one rdma.FrameWriter and
+// a single flush — the doorbell: one syscall rings out many verbs (a
+// frame larger than the writer's buffer takes one vectored write of its
+// own). A reader goroutine reads through an rdma.FrameBufSize buffer
+// and demultiplexes completions by tag, so replies may arrive in any
+// order.
 //
 // Ordering contract: reads and writes flow through separate queues with
 // separate in-flight windows; each completes in any order and the
@@ -234,7 +236,7 @@ type PipelinedClient struct {
 
 	mu           sync.Mutex
 	conn         io.ReadWriteCloser // current connection; swapped on reconnect
-	bw           *bufio.Writer      // doorbell buffer for conn
+	fw           *rdma.FrameWriter  // doorbell writer for conn
 	trace        bool               // session carries the trace extension
 	compress     bool               // session may ship LZ-compressed segments
 	gen          uint64             // connection generation
@@ -261,6 +263,7 @@ type PipelinedClient struct {
 	cpolicy compressPolicy // per-DS adaptive compression state
 	lzc     *lzController  // reader-goroutine-owned; nil unless adaptive LZ was granted
 	lzOn    atomic.Bool    // lzc's current mode, read by the flusher
+	onWrite func(uint64)   // frames-per-write observer for every fw; nil without metrics
 }
 
 // negotiate runs the version handshake on a fresh connection, asking
@@ -317,7 +320,6 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	}
 	c := &PipelinedClient{
 		conn:     conn,
-		bw:       bufio.NewWriterSize(conn, 64<<10),
 		trace:    feats&rdma.FeatTrace != 0,
 		compress: feats&rdma.FeatCompress != 0,
 		opts:     opts.withDefaults(),
@@ -330,6 +332,10 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 		shard:    opts.Shard,
 		featReq:  req,
 	}
+	if m := c.metrics; m != nil {
+		c.onWrite = m.writeFrames.Observe
+	}
+	c.fw = rdma.NewFrameWriter(conn, c.onWrite)
 	if opts.Trace != nil {
 		c.attrib = newAttribCache(opts.Obs, opts.Shard)
 	}
@@ -676,7 +682,7 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 			return
 		}
 		c.conn = nc
-		c.bw = bufio.NewWriterSize(nc, 64<<10)
+		c.fw = rdma.NewFrameWriter(nc, c.onWrite)
 		c.trace = feats&rdma.FeatTrace != 0
 		c.compress = feats&rdma.FeatCompress != 0
 		c.gen++
@@ -739,7 +745,7 @@ func (c *PipelinedClient) flushable() bool {
 // moves as much of both queues as fits onto the wire as tagged frames —
 // plain reads coalesced into READBATCH-C, epoch reads into
 // READEPOCHBATCH, chases into CHASEBATCH, writes into WRITEBATCH-C or
-// WRITEEPOCHBATCH-C — and flushes the buffered writer once per wakeup.
+// WRITEEPOCHBATCH-C — and flushes the frame writer once per wakeup.
 // The session's LZ mode (lzOn, set by the controller) decides per
 // wakeup whether write tuples may compress and whether READBATCH-Cs
 // carry the raw bit. It parks while a reconnect is in progress and
@@ -762,7 +768,7 @@ func (c *PipelinedClient) flushLoop() {
 			return
 		}
 		gen := c.gen
-		bw := c.bw
+		fw := c.fw
 		trace := c.trace
 		lz := c.lzOn.Load()
 		compress := c.compress && lz
@@ -896,7 +902,7 @@ func (c *PipelinedClient) flushLoop() {
 		var werr error
 		for _, f := range frames {
 			if werr == nil {
-				werr = rdma.WriteFrameCRC(bw, f)
+				werr = fw.WriteFrame(f)
 			}
 			if werr == nil {
 				if m := c.metrics; m != nil {
@@ -907,7 +913,7 @@ func (c *PipelinedClient) flushLoop() {
 			rdma.PutBuf(f.Payload)
 		}
 		if werr == nil {
-			werr = bw.Flush()
+			werr = fw.Flush()
 		}
 		if werr != nil {
 			// The ops this flush registered are harvested by connFail
@@ -965,15 +971,19 @@ func (c *PipelinedClient) tagFor(ops []*pipeOp, write bool) uint32 {
 // readLoop demultiplexes completions by tag. Any transport-level
 // problem — read error, checksum mismatch, unknown tag, malformed
 // batch — reports the connection generation to connFail and parks until
-// reconnected (or until the client fails for good). Frame payloads are
-// pooled: each is released back to the rdma buffer pool as soon as its
-// contents are copied out or formatted into an error.
+// reconnected (or until the client fails for good). Frames are read
+// through an rdma.FrameBufSize buffer, rebuilt for each connection
+// generation so no byte of a dead stream carries over. Frame
+// payloads are pooled: each is released back to the rdma buffer pool as
+// soon as its contents are copied out or formatted into an error.
 func (c *PipelinedClient) readLoop() {
 	defer c.wg.Done()
 	var esegs []rdma.EpochSeg    // scratch, reused across frames
 	var cress []rdma.ChaseResult // scratch, reused across frames
 	var csegs []rdma.DataSegC    // scratch, reused across frames
 	var ackScratch []uint64      // ACKBATCH-C reject bitmap scratch
+	var br *bufio.Reader
+	var brGen uint64
 	for {
 		c.mu.Lock()
 		for c.err == nil && c.reconnecting {
@@ -988,12 +998,15 @@ func (c *PipelinedClient) readLoop() {
 		trace := c.trace
 		c.mu.Unlock()
 
+		if br == nil || brGen != gen {
+			br, brGen = bufio.NewReaderSize(conn, rdma.FrameBufSize), gen
+		}
 		if d := c.opts.Timeout; d > 0 {
 			if dl, ok := conn.(connDeadline); ok {
 				dl.SetReadDeadline(time.Now().Add(d))
 			}
 		}
-		f, err := rdma.ReadFramePooled(conn, trace)
+		f, err := rdma.ReadFramePooled(br, trace)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// An idle connection hitting the read deadline is benign:

@@ -15,6 +15,7 @@
 package remote
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -278,11 +279,18 @@ func (s *Server) untrackConn(conn io.ReadWriteCloser) {
 // and in-process pairs (net.Pipe) can drive it directly.
 //
 // The session opens with the version handshake (see handshake); every
-// later frame is CRC-trailed. Batch frames are dispatched to a small
-// per-connection worker pool and answered whenever they complete —
-// possibly out of order; the tag routes each reply. Any other frame,
-// the verbs of the version-1 protocol included, is refused with a
-// definitive ERR/ERRTAG and the session continues. Callers that need
+// later frame is CRC-trailed. Requests are read through an
+// rdma.FrameBufSize buffer, so a burst of small frames costs one read.
+// Batch frames are dispatched to a small per-connection worker pool and
+// answered whenever they complete — possibly out of order; the tag
+// routes each reply. Replies go through one rdma.FrameWriter behind a
+// reply doorbell: a reply that finds the buffer empty is held while
+// another batch waits for a worker (a reply is certain to follow), and
+// every other reply flushes, so a reply waits behind at most one other
+// and the last reply of a burst always rings the doorbell; a reply
+// larger than the buffer leaves at once. Any other
+// frame, the verbs of the version-1 protocol included, is refused with
+// a definitive ERR/ERRTAG and the session continues. Callers that need
 // write-then-read ordering for an object get it from the write
 // acknowledgement: ACKBATCH-C is sent only after the store mutation, so
 // a read issued after the ack observes it. Symmetrically, two batches
@@ -297,7 +305,8 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	s.metrics.conns.Add(1)
 	defer s.metrics.conns.Add(-1)
 
-	feats, ok := s.handshake(conn, connID)
+	br := bufio.NewReaderSize(conn, rdma.FrameBufSize)
+	feats, ok := s.handshake(br, conn, connID)
 	if !ok {
 		return
 	}
@@ -306,12 +315,28 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 
 	// Batch workers reply concurrently with the read loop: every
 	// response frame goes through send so frames never interleave.
-	var wmu sync.Mutex
+	// waiting counts batch jobs read but not yet picked up by a worker.
+	var (
+		wmu     sync.Mutex
+		waiting atomic.Int64
+	)
+	fw := rdma.NewFrameWriter(conn, s.metrics.writeFrames.Observe)
 	send := func(resp rdma.Frame) error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		s.metrics.bytesOut.Add(resp.WireSize())
-		return rdma.WriteFrameCRC(conn, resp)
+		held := fw.Buffered()
+		if err := fw.WriteFrame(resp); err != nil {
+			return err
+		}
+		if held == 0 && waiting.Load() > 0 {
+			// A waiting job's reply will ring the doorbell: every picked-up
+			// job sends exactly one reply, after its pickup. Only a reply
+			// into an empty buffer is held, so the next reply always
+			// flushes and no reply waits behind more than one other.
+			return nil
+		}
+		return fw.Flush()
 	}
 	workers := s.BatchWorkers
 	if workers <= 0 {
@@ -333,6 +358,7 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 			var cwscratch compactWriteScratch
 			defer cwscratch.release()
 			for j := range jobs {
+				waiting.Add(-1)
 				switch j.f.Op {
 				case rdma.OpReadBatchC:
 					rscratch = s.serveBatchC(j, connID, send, trace, compress, rscratch, &cb)
@@ -353,7 +379,7 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	defer close(jobs)
 
 	for {
-		f, err := rdma.ReadFramePooled(conn, trace)
+		f, err := rdma.ReadFramePooled(br, trace)
 		if err != nil {
 			return
 		}
@@ -362,6 +388,7 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		case rdma.OpReadBatchC, rdma.OpWriteBatchC, rdma.OpWriteEpochBatchC,
 			rdma.OpReadEpochBatch, rdma.OpChaseBatch:
 			s.metrics.inflight.Add(1)
+			waiting.Add(1)
 			jobs <- batchJob{f: f, recv: time.Now()} // reply sent by a worker, possibly out of order
 			continue
 		}
@@ -386,9 +413,11 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 // first frame that is not a PING of this protocol version — a peer on
 // another version, or a handshake garbled in transit — is answered with
 // ERR, and ok is false: no session can start, so the caller closes the
-// connection. Other connections are unaffected.
-func (s *Server) handshake(conn io.ReadWriteCloser, connID int) (feats uint32, ok bool) {
-	f, err := rdma.ReadFrame(conn)
+// connection. Other connections are unaffected. The PING is read
+// through the session's buffered reader r, which may already hold the
+// frames the client sent behind it.
+func (s *Server) handshake(r io.Reader, conn io.Writer, connID int) (feats uint32, ok bool) {
+	f, err := rdma.ReadFrame(r)
 	if err != nil {
 		return 0, false
 	}
