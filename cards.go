@@ -145,14 +145,6 @@ type Config struct {
 	// "adaptive" (the default), or "off". Any other value makes New
 	// fail. See remote.PipelineOpts.Compression for what each mode does.
 	Compression string
-	// DirtyRangeWriteback ships only the modified byte ranges of a dirty
-	// object at eviction: the runtime tracks a per-object dirty rectangle
-	// from the write guards and the server splices the extents into its
-	// stored image. Falls back to full-object write-backs transparently
-	// (wide rectangles, unknown coverage). Only meaningful with
-	// RemoteAddr/RemoteAddrs set.
-	DirtyRangeWriteback bool
-
 	// Trace enables cross-process distributed tracing. Span contexts
 	// ride the wire on every pipelined frame (negotiated with the
 	// server; a server that does not grant it leaves frames untraced),
@@ -261,7 +253,6 @@ func New(cfg Config) (*Runtime, error) {
 			Timeout: timeout, RetryMax: retries, Obs: reg, Trace: hub,
 			Compression: cfg.Compression,
 		}
-		fc.RangeWriteback = cfg.DirtyRangeWriteback
 		if len(addrs) == 1 {
 			// The resilient dialer replaces a client whose reconnect budget
 			// ran out during a long outage, so a restarted server resumes

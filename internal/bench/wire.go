@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"cards/internal/core"
+	"cards/internal/farmem"
 	"cards/internal/faultnet"
 	"cards/internal/ir"
 	"cards/internal/obs"
 	"cards/internal/policy"
+	"cards/internal/rdma"
 	"cards/internal/remote"
 	"cards/internal/workloads"
 )
@@ -105,9 +107,43 @@ func Wire(cfg Config) (*Table, error) {
 		"KB/op = total frame bytes both directions / (remote fetches + write-backs); wall-clock includes the final drain",
 		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs compact' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
 		"analytics-loopback runs unshaped: the codec costs more than the bytes it saves, so adaptive compression must turn LZ off and 'tput vs compact' stay near 1x",
-		"compact = bit-packed batch frames with compression off (objects ship raw); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
+		"compact = bit-packed batch frames with compression off (objects ship raw); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline",
+		"compact and compact+lz run over a view of the client without the range verb (Rangeless): every miss fetches and every eviction ships the whole object; the range rung adds dirty-range write-back and write-validate (store-only misses skip the fetch)")
 	return t, nil
 }
+
+// Rangeless hides a pipelined client's range write verb
+// (IssueWriteRanges) and forwards every other surface the runtime
+// detects: async reads and writes, traversal offload and the liveness
+// probe. Over it every dirty eviction ships the full object and every
+// miss fetches (write-validate needs the range verb) — the full-image
+// baseline of the wire ladder's first rungs, like syncWriteStore hides
+// IssueWrite for the write-back sweep's baseline.
+type Rangeless struct{ C *remote.PipelinedClient }
+
+func (s Rangeless) ReadObj(ds, idx int, dst []byte) error  { return s.C.ReadObj(ds, idx, dst) }
+func (s Rangeless) WriteObj(ds, idx int, src []byte) error { return s.C.WriteObj(ds, idx, src) }
+func (s Rangeless) IssueRead(ds, idx int, dst []byte, done func(error)) {
+	s.C.IssueRead(ds, idx, dst, done)
+}
+func (s Rangeless) IssueWrite(ds, idx int, src []byte, done func(error)) {
+	s.C.IssueWrite(ds, idx, src, done)
+}
+func (s Rangeless) ChaseCapable() bool { return s.C.ChaseCapable() }
+func (s Rangeless) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
+	return s.C.Chase(req)
+}
+func (s Rangeless) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
+	s.C.IssueChase(req, done)
+}
+func (s Rangeless) Ping() error { return s.C.Ping() }
+
+// The baseline keeps every capability but the range verb.
+var (
+	_ farmem.AsyncWriteStore = Rangeless{}
+	_ farmem.AsyncChaseStore = Rangeless{}
+	_ farmem.Pinger          = Rangeless{}
+)
 
 // wireResult is one mode's measurement.
 type wireResult struct {
@@ -158,13 +194,16 @@ func runWire(build func() (*ir.Module, error), mode wireMode, bandwidth int) (*w
 	if err != nil {
 		return nil, err
 	}
+	var store farmem.Store = cl
+	if !mode.rangeWB {
+		store = Rangeless{C: cl}
+	}
 	start := time.Now()
 	res, err := c.Run(core.RunConfig{
 		Policy:          policy.AllRemotable,
 		PinnedBudget:    0,
 		RemotableBudget: 8 * 4096,
-		Store:           cl,
-		RangeWriteback:  mode.rangeWB,
+		Store:           store,
 	})
 	if err != nil {
 		return nil, err

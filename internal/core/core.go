@@ -153,12 +153,6 @@ type RunConfig struct {
 	// local memory after this many consecutive store failures); 0
 	// disables it. See internal/farmem/breaker.go.
 	BreakerThreshold int
-
-	// RangeWriteback enables compiler-aided dirty-range write-back:
-	// guard write spans and per-DS write footprints feed the runtime's
-	// dirty rectangles, and evictions ship only the modified extents
-	// when the store supports it. See internal/farmem/dirtyrange.go.
-	RangeWriteback bool
 }
 
 // RunResult captures everything one execution measured.
@@ -222,7 +216,6 @@ func (c *Compiled) NewRuntime(cfg RunConfig) (*farmem.Runtime, []farmem.Placemen
 		TraceHub:         cfg.TraceHub,
 		RetryMax:         cfg.RetryMax,
 		BreakerThreshold: cfg.BreakerThreshold,
-		RangeWriteback:   cfg.RangeWriteback,
 	})
 
 	placements := cfg.Placements

@@ -49,14 +49,6 @@ type Config struct {
 	// Window and MaxBatch shape the pipelined session. Chaos runs keep
 	// batches small so coalesced reply frames fit the cut budget.
 	Window, MaxBatch int
-	// RangeWriteback turns on compiler-aided dirty-range write-back for
-	// the remote modes: evicted dirty objects ship only their modified
-	// extents over the compact WRITERANGE verb (the per-hop control
-	// hides the range surface, so it stays on full-object writes). The
-	// differential then also proves range splices exact across replayed
-	// and duplicated writes: a lost or misapplied extent would surface
-	// as a checksum divergence on the next fetch of that object.
-	RangeWriteback bool
 	// Compression sets the compression mode of the remote modes (see
 	// remote.PipelineOpts.Compression).
 	Compression string
@@ -69,12 +61,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// perHop hides a session's traversal-offload surface while leaving the
-// pipelined read/write path intact: the farmem runtime's capability
-// detection (type assertions) sees an async store but no chase verbs,
-// so every traversal pays one dependent round trip per hop. This is
-// the differential control — same server, same chaos schedule, offload
-// off.
+// perHop hides a session's traversal-offload and range-write surfaces
+// while leaving the pipelined read/write path intact: the farmem
+// runtime's capability detection (type assertions) sees an async store
+// but no chase or range verbs, so every traversal pays one dependent
+// round trip per hop and every miss fetches (no write-validate). This
+// is the differential control — same server, same chaos schedule,
+// offload off.
 type perHop struct{ c *remote.PipelinedClient }
 
 func (p perHop) ReadObj(ds, idx int, dst []byte) error  { return p.c.ReadObj(ds, idx, dst) }
@@ -113,7 +106,6 @@ func run(t testing.TB, build func() (*ir.Module, error), cfg Config, store farme
 		RemotableBudget: cfg.RemotableBudget,
 		Store:           store,
 		RetryMax:        cfg.RetryMax,
-		RangeWriteback:  cfg.RangeWriteback,
 	})
 	if err != nil {
 		t.Fatal(err)

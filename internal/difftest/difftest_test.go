@@ -77,13 +77,13 @@ func TestOffloadExactUnderChaos(t *testing.T) {
 
 // TestRangeWritebackExactUnderChaos is the dirty-range differential:
 // the BFS workload with compiler-aided range write-back live on the
-// offloaded mode, under a cut+corruption schedule. Cuts kill range
-// writes in uncertain states (issued, outcome unknown); the runtime's
-// synchronous reissue replays the FULL staged image, so a double-
-// applied or lost splice would surface as a checksum divergence on the
-// next fetch of that object. The per-hop control hides the range
-// surface and stays on full-object writes — same server code, range
-// path off.
+// offloaded mode (the runtime uses the verb whenever the store has it),
+// under a cut+corruption schedule. Cuts kill range writes in uncertain
+// states (issued, outcome unknown); the runtime's synchronous reissue
+// replays the FULL staged image, so a double-applied or lost splice
+// would surface as a checksum divergence on the next fetch of that
+// object. The per-hop control hides the range surface and stays on
+// full-object writes — same server code, range path off.
 func TestRangeWritebackExactUnderChaos(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	build := func() (*ir.Module, error) {
@@ -91,11 +91,10 @@ func TestRangeWritebackExactUnderChaos(t *testing.T) {
 			Vertices: 512, Degree: 6, Trials: 2, Seed: 11}).Module, nil
 	}
 	perhop, offload := Run(t, build, Config{
-		Spec:           "cut=32768,corrupt=0.01,seed=13",
-		RetryMax:       8,
-		Window:         8,
-		MaxBatch:       2,
-		RangeWriteback: true,
+		Spec:     "cut=32768,corrupt=0.01,seed=13",
+		RetryMax: 8,
+		Window:   8,
+		MaxBatch: 2,
 	})
 	if perhop.Stats.RangeWriteBacks != 0 {
 		t.Errorf("per-hop control took %d range write-backs; its store hides the range surface",
@@ -126,4 +125,39 @@ func TestBFSExactUnderChaos(t *testing.T) {
 		Window:   8,
 		MaxBatch: 2,
 	})
+}
+
+// TestWriteValidateExactUnderChaos is the write-validate differential:
+// the taxi analytics program, whose column loads are store-only misses
+// through an eight-object cache, under a cut+corruption schedule. The
+// offloaded mode's store has the range verb, so those misses skip the
+// fetch and evict as exact extents; cuts leave such partial writes
+// uncertain, and their reissue must first complete the image from the
+// far tier. The per-hop control hides the range verb and fetches on
+// every miss. All three checksums must agree.
+func TestWriteValidateExactUnderChaos(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	build := func() (*ir.Module, error) {
+		return workloads.BuildTaxi(workloads.TaxiConfig{Trips: 256, HotPasses: 2, Seed: 5}).Module, nil
+	}
+	perhop, offload := Run(t, build, Config{
+		Spec:     "cut=32768,corrupt=0.01,seed=17",
+		RetryMax: 8,
+		Window:   8,
+		MaxBatch: 2,
+	})
+	if perhop.Stats.WriteValidates != 0 {
+		t.Errorf("per-hop control write-validated %d misses; its store hides the range verb",
+			perhop.Stats.WriteValidates)
+	}
+	if offload.Stats.WriteValidates == 0 {
+		t.Error("no store-only miss skipped its fetch: write-validate never engaged")
+	}
+	faults := perhop.Cuts + perhop.Corruptions + offload.Cuts + offload.Corruptions
+	if offload.Cuts+offload.Corruptions == 0 {
+		t.Error("the write-validate run saw no injected faults")
+	}
+	t.Logf("write-validate chaos: %d faults (write-validate run %d cuts/%d corruptions); %d write-validates, %d fills, %d range write-backs, %d reissues, %d fetches (per-hop %d)",
+		faults, offload.Cuts, offload.Corruptions, offload.Stats.WriteValidates, offload.Stats.PartialFills,
+		offload.Stats.RangeWriteBacks, offload.Stats.WriteBackReissues, offload.Stats.RemoteFetches, perhop.Stats.RemoteFetches)
 }

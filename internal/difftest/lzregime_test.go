@@ -54,8 +54,12 @@ func TestCompressionRegimes(t *testing.T) {
 			}
 			defer cl.Close()
 
+			// Over the per-hop view (no range verb) every miss still
+			// fetches, so the session carries the traffic whose regime
+			// it must decide (write-validate would leave the plain link
+			// a dozen reads).
 			start := time.Now()
-			res := run(t, build, cfg, cl)
+			res := run(t, build, cfg, perHop{c: cl})
 			if res.MainResult != oracle {
 				t.Fatalf("checksum %#x != oracle %#x", res.MainResult, oracle)
 			}

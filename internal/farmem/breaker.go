@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -99,27 +100,35 @@ func (s BreakerState) String() string {
 //
 // All methods are safe for concurrent use (the runtime's domain is
 // shared with its background prober); every transition is cheap and
-// rare.
+// rare. Transitions take the mutex; the state itself is an atomic, so
+// State and the common (not open) Gate read it without locking — they
+// sit on paths every deref of a chase-capable structure walks.
 type Domain struct {
 	mu       sync.Mutex
-	state    BreakerState
-	consec   int       // consecutive failures while closed
-	openedAt time.Time // wall clock of the last trip
+	state    atomic.Int32 // BreakerState; written under mu
+	consec   int          // consecutive failures while closed
+	openedAt time.Time    // wall clock of the last trip
 	probing  bool
 }
+
+func (d *Domain) load() BreakerState { return BreakerState(d.state.Load()) }
+func (d *Domain) set(s BreakerState) { d.state.Store(int32(s)) }
 
 // Gate reports whether an operation may proceed; false means it must
 // fail fast with ErrDegraded. While open it self-arms half-open after
 // probeEvery when the store has no Ping method (pingable stores are
 // armed by their prober instead).
 func (d *Domain) Gate(probeEvery time.Duration, pingable bool) bool {
+	if d.load() != BreakerOpen {
+		return true
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != BreakerOpen {
+	if d.load() != BreakerOpen {
 		return true
 	}
 	if !pingable && time.Since(d.openedAt) >= probeEvery {
-		d.state = BreakerHalfOpen
+		d.set(BreakerHalfOpen)
 		return true
 	}
 	return false
@@ -132,10 +141,10 @@ func (d *Domain) OnSuccess() (recovered bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.consec = 0
-	if d.state == BreakerClosed {
+	if d.load() == BreakerClosed {
 		return false
 	}
-	d.state = BreakerClosed
+	d.set(BreakerClosed)
 	return true
 }
 
@@ -146,13 +155,13 @@ func (d *Domain) OnFailure(threshold int) (tripped bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.consec++
-	switch d.state {
+	switch d.load() {
 	case BreakerHalfOpen:
-		d.state = BreakerOpen
+		d.set(BreakerOpen)
 		d.openedAt = time.Now()
 	case BreakerClosed:
 		if threshold > 0 && d.consec >= threshold {
-			d.state = BreakerOpen
+			d.set(BreakerOpen)
 			d.openedAt = time.Now()
 			return true
 		}
@@ -164,25 +173,21 @@ func (d *Domain) OnFailure(threshold int) (tripped bool) {
 // successful ping); the next operation is the recovery trial.
 func (d *Domain) ArmHalfOpen() {
 	d.mu.Lock()
-	if d.state == BreakerOpen {
-		d.state = BreakerHalfOpen
+	if d.load() == BreakerOpen {
+		d.set(BreakerHalfOpen)
 	}
 	d.mu.Unlock()
 }
 
 // State returns the current breaker state.
-func (d *Domain) State() BreakerState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state
-}
+func (d *Domain) State() BreakerState { return d.load() }
 
 // TryProbe claims the probe slot when the domain is open and no probe
 // is already running; the claimant must call ProbeDone afterwards.
 func (d *Domain) TryProbe() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != BreakerOpen || d.probing {
+	if d.load() != BreakerOpen || d.probing {
 		return false
 	}
 	d.probing = true
@@ -276,17 +281,19 @@ func (r *Runtime) storeOp(op func() error) error {
 // the remotable budget to its configured size (subsequent allocations
 // evict back down to it). A failure mid-drain re-trips the breaker and
 // aborts; the remaining dirty objects stay pinned until the next
-// recovery.
+// recovery. An object whose previous write-back is still staged is left
+// dirty: its eviction orders the newer write after the staged one,
+// where a drain write here could be overtaken by the older image.
 func (r *Runtime) recoverRemote() {
 	r.stats.BreakerRecoveries++
 	r.emit(EvBreakerRecover, -1, 0, false)
 	for _, d := range r.dss {
 		for idx := range d.objs {
 			obj := &d.objs[idx]
-			if obj.state != objLocal || !obj.dirty {
+			if obj.state != objLocal || !obj.dirty || r.staged(d, idx) {
 				continue
 			}
-			if err := r.storeWrite(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err != nil {
+			if err := r.writeResident(d, idx); err != nil {
 				if errors.Is(err, ErrDegraded) {
 					// The owning shard is still down; its objects stay
 					// pinned until that shard's own recovery epoch.
@@ -295,7 +302,6 @@ func (r *Runtime) recoverRemote() {
 				}
 				return // re-tripped (or transient): stop, stay pinned
 			}
-			r.link.WriteBack(d.Meta.ObjSize)
 			obj.dirty = false
 			d.stats.WriteBacks++
 			r.stats.DrainedWriteBacks++
@@ -340,7 +346,7 @@ func (r *Runtime) maybeDrainShards() {
 	for _, d := range r.dss {
 		for idx := range d.objs {
 			obj := &d.objs[idx]
-			if obj.state != objLocal || !obj.dirty {
+			if obj.state != objLocal || !obj.dirty || r.staged(d, idx) {
 				continue
 			}
 			if scope != nil && !scope.ShouldDrain(d.ID, idx, prev) {
@@ -349,11 +355,10 @@ func (r *Runtime) maybeDrainShards() {
 				}
 				continue
 			}
-			if err := r.storeWrite(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err != nil {
+			if err := r.writeResident(d, idx); err != nil {
 				remain = true
 				continue
 			}
-			r.link.WriteBack(d.Meta.ObjSize)
 			obj.dirty = false
 			d.stats.WriteBacks++
 			r.stats.DrainedWriteBacks++

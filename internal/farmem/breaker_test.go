@@ -309,3 +309,38 @@ func TestDegradedDerefDoesNotLeakBudget(t *testing.T) {
 		t.Fatalf("remotable used %d -> %d: failed fetches leaked frames", used, r.RemotableUsed())
 	}
 }
+
+// TestDomainStateConcurrent: State and the not-open Gate read the
+// breaker state without the mutex while transitions run under it; under
+// -race the two sides must stay synchronized, and the state read back
+// after the last transition is the last one written.
+func TestDomainStateConcurrent(t *testing.T) {
+	var d Domain
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					d.State()
+					d.Gate(time.Hour, true)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		d.OnFailure(1)
+		d.ArmHalfOpen()
+		d.OnSuccess()
+	}
+	close(stop)
+	wg.Wait()
+	if s := d.State(); s != BreakerClosed {
+		t.Fatalf("state after a closing success = %v, want closed", s)
+	}
+}

@@ -14,17 +14,19 @@ import "cards/internal/rdma"
 // (remote.IssueWriteRanges) instead of the whole object; the far tier
 // splices them into its stored image (read-modify-write).
 //
-// Soundness: a local frame always starts as an exact copy of the remote
-// image (a fetch) or as zeros matching an absent remote object (a cold
-// materialize), and every store through the runtime marks its range —
-// spanless writes (plain Guard/Deref, WriteFootprint-less structures)
-// widen the rectangle to the whole object. Bytes outside the rectangle
-// are therefore identical on both sides, and splicing only the
-// rectangle reproduces the full local image remotely. The staging
-// buffer still snapshots the FULL object, so the synchronous reissue of
-// a failed or uncertain range write (settleWB, drainParked) replays the
-// whole image idempotently — correctness never depends on the range
-// path.
+// Soundness: a local frame starts as an exact copy of the remote image
+// (a fetch), as zeros matching an absent remote object (a cold
+// materialize), or empty with the object marked partial (a
+// write-validated store-only miss, writevalidate.go), and every store
+// through the runtime marks its range — spanless writes (plain
+// Guard/Deref, WriteFootprint-less structures) widen the rectangle to
+// the whole object. Outside the rectangle a whole frame's bytes equal
+// the remote ones and a partial frame's bytes are unknown; either way
+// splicing only the rectangle reproduces the program's image remotely.
+// The staging buffer snapshots the full object of a whole frame, so the
+// synchronous reissue of a failed or uncertain range write (settleWB,
+// drainParked) replays the whole image idempotently; a partial entry is
+// completed from the far tier first (reissueWB).
 
 // dirtyRect is the accumulated written region of one resident object:
 // element rows [eLo, eHi] (inclusive) crossed with the byte range
@@ -62,6 +64,11 @@ func (r *Runtime) markDirty(d *DS, obj *FarObj, objOff, lo, hi int) {
 	fresh := !obj.dirty
 	obj.dirty = true
 	if obj.rect.full && !fresh {
+		return
+	}
+	if d.Meta.ObjSize > 0xFFFF {
+		// Offsets past the rect's u16 fields: whole-object write-back.
+		obj.rect = dirtyRect{full: true}
 		return
 	}
 	elem := rectElem(d)
@@ -125,11 +132,12 @@ func (r *Runtime) unionRect(obj *FarObj, fresh bool, eLo, eHi, fLo, fHi uint16) 
 }
 
 // RangeWriteStore is an AsyncWriteStore that can ship only the modified
-// byte ranges of an object: src is the full image, exts the modified
-// (offset, length) ranges within it, and the far tier splices the
-// extent bytes into its stored copy. Implemented by the compact-tier
-// remote clients; detected by type assertion when Config.RangeWriteback
-// is set.
+// byte ranges of an object: src is the object image (len(src) is the
+// object size), exts the modified (offset, length) ranges within it, and
+// the far tier splices the extent bytes into its stored copy — only the
+// extents' bytes of src are read. Implemented by the compact-tier
+// remote clients and the multi-backend stores; detected by type
+// assertion, and used whenever the store has it.
 type RangeWriteStore interface {
 	AsyncWriteStore
 	IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error))
@@ -139,6 +147,8 @@ type RangeWriteStore interface {
 // rectangle, one extent per touched element row. It returns nil — full
 // object — when the range path is off, the rectangle is unknown, the
 // coverage gate fails, or the row count exceeds the wire's extent cap.
+// A partial object's extents skip the coverage gate: they are all it
+// can ship.
 func (r *Runtime) rangeExtents(d *DS, obj *FarObj) []rdma.Extent {
 	if r.rwstore == nil || obj.rect.full || !obj.dirty {
 		return nil
@@ -151,7 +161,7 @@ func (r *Runtime) rangeExtents(d *DS, obj *FarObj) []rdma.Extent {
 		return nil
 	}
 	covered := rows * fw
-	if covered*10 > d.Meta.ObjSize*rangeCoverageMax {
+	if !obj.partial && covered*10 > d.Meta.ObjSize*rangeCoverageMax {
 		return nil
 	}
 	if fw == elem && rows > 1 {

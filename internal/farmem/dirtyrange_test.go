@@ -2,6 +2,7 @@ package farmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -69,7 +70,6 @@ func newRangeRuntime(t *testing.T, store Store, meta DSMeta, objs int) (*Runtime
 	r := New(Config{
 		PinnedBudget: 1 << 20, RemotableBudget: uint64(2 * meta.ObjSize),
 		Store: store, WriteBackBudget: 1 << 20,
-		RangeWriteback: true,
 	})
 	r.RegisterDS(0, meta)
 	r.SetPlacement(0, PlaceRemotable)
@@ -94,17 +94,25 @@ func evictObj0(t *testing.T, r *Runtime, addr uint64, objSize int) {
 	}
 }
 
+// TestRangeWriteStoreDetection: the range path runs whenever the store
+// has the verb; write-validate additionally needs a single-domain store.
 func TestRangeWriteStoreDetection(t *testing.T) {
-	if r := New(Config{Store: newRangeWriteStore()}); r.rwstore != nil {
-		t.Fatal("range store must not be detected without Config.RangeWriteback")
+	if r := New(Config{Store: newRangeWriteStore()}); r.rwstore == nil || !r.wvalidate {
+		t.Fatal("a RangeWriteStore backend should enable the range path and write-validate")
 	}
-	if r := New(Config{Store: newRangeWriteStore(), RangeWriteback: true}); r.rwstore == nil {
-		t.Fatal("RangeWriteback + RangeWriteStore backend should enable the range path")
-	}
-	if r := New(Config{Store: newSlowWriteStore(0), RangeWriteback: true}); r.rwstore != nil {
+	if r := New(Config{Store: newSlowWriteStore(0)}); r.rwstore != nil || r.wvalidate {
 		t.Fatal("a plain AsyncWriteStore must not be detected as a range store")
 	}
+	if r := New(Config{Store: recoverableRangeStore{newRangeWriteStore()}}); r.rwstore == nil || r.wvalidate {
+		t.Fatal("a multi-backend range store keeps the range path but must not write-validate")
+	}
 }
+
+// recoverableRangeStore is a range store with the multi-backend
+// recovery surface (like the sharded and replicated stores).
+type recoverableRangeStore struct{ *rangeWriteStore }
+
+func (recoverableRangeStore) RecoveryEpoch() uint64 { return 0 }
 
 // TestRangeWriteBackShipsOnlyDirtyExtents: span-bounded writes to two
 // element rows of a 1 KiB object must evict as a handful of 8-byte
@@ -299,5 +307,73 @@ func TestFailedRangeWriteReissuedFullObject(t *testing.T) {
 	}
 	if img[3*elem] != 0xDD {
 		t.Fatalf("far tier byte = %#x after reissue, want 0xDD", img[3*elem])
+	}
+}
+
+// TestRangeWriteBackLargeObjectShipsFull: the dirty rectangle's fields
+// are 16-bit, so an object over 64 KiB must write back whole. A span
+// past offset 65535 would otherwise wrap into a wrong extent and splice
+// the written bytes into the wrong place on the far tier. A store-only
+// guard on such an object fetches like any other access.
+func TestRangeWriteBackLargeObjectShipsFull(t *testing.T) {
+	const obj = 0x20000
+	for name, guard := range map[string]func(r *Runtime, a uint64) (uint64, error){
+		"span":       func(r *Runtime, a uint64) (uint64, error) { return r.GuardSpan(a, true, 0, 8) },
+		"store-only": func(r *Runtime, a uint64) (uint64, error) { return r.GuardStore(a, 0, 8) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := newRangeWriteStore()
+			r, addr := newRangeRuntime(t, store, DSMeta{ObjSize: obj, ElemSize: obj}, 5)
+			// Seed object 0 on the far tier with a non-zero pattern.
+			want := make([]byte, obj)
+			p, err := r.Guard(addr, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < obj/8; w++ {
+				v := 0x0101010101010101 * uint64(w%251+1)
+				r.WriteWord(p+uint64(8*w), v)
+				binary.LittleEndian.PutUint64(want[8*w:], v)
+			}
+			evictObj0(t, r, addr, obj)
+			seedRange, seedFull := store.counts()
+
+			for _, off := range []int{70000, obj - 8} {
+				p, err := guard(r, addr+uint64(off))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.WriteWord(p, 0xCAFE); err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint64(want[off:], 0xCAFE)
+			}
+			// Objects 3 and 4 are fresh: touching them evicts object 0.
+			for i := 3; i <= 4; i++ {
+				if _, err := r.Guard(addr+uint64(i*obj), false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.DrainWriteBacks(); err != nil {
+				t.Fatal(err)
+			}
+			if r.DSByID(0).objs[0].state != objRemote {
+				t.Fatal("object 0 not evicted")
+			}
+			rangeOps, fullOps := store.counts()
+			if rangeOps != seedRange || fullOps != seedFull+1 {
+				t.Fatalf("rangeOps +%d fullOps +%d, want one full-object write-back", rangeOps-seedRange, fullOps-seedFull)
+			}
+			if wv := r.Stats().WriteValidates; wv != 0 {
+				t.Fatalf("WriteValidates = %d, want 0 on an object over 64 KiB", wv)
+			}
+			img := make([]byte, obj)
+			if err := store.MapStore.ReadObj(0, 0, img); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img, want) {
+				t.Fatal("far-tier image differs from the local image")
+			}
+		})
 	}
 }

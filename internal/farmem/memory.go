@@ -112,6 +112,26 @@ func (r *Runtime) Guard(addr uint64, write bool) (uint64, error) {
 // the span is unknown and a write dirties conservatively (the whole
 // object, or the structure's static write footprint).
 func (r *Runtime) GuardSpan(addr uint64, write bool, gLo, gHi int) (uint64, error) {
+	if r.custody(addr, write) {
+		return addr, nil
+	}
+	return r.deref(addr, write, false, gLo, gHi)
+}
+
+// GuardStore is GuardSpan for a store-only write guard
+// (ir.Instr.StoreOnly): the returned address feeds exactly one store,
+// which writes exactly [gLo, gHi). A miss may then skip the fetch
+// (write-validate, see writevalidate.go).
+func (r *Runtime) GuardStore(addr uint64, gLo, gHi int) (uint64, error) {
+	if r.custody(addr, true) {
+		return addr, nil
+	}
+	return r.deref(addr, true, true, gLo, gHi)
+}
+
+// custody charges the inline custody check and reports whether addr is
+// untagged (pinned memory: the access needs no deref).
+func (r *Runtime) custody(addr uint64, write bool) bool {
 	r.stats.GuardChecks++
 	if r.trackFM {
 		// TrackFM's guards run the full lookup on every access —
@@ -127,9 +147,9 @@ func (r *Runtime) GuardSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 	}
 	if !IsTagged(addr) {
 		r.stats.FastPathHits++
-		return addr, nil
+		return true
 	}
-	return r.DerefSpan(addr, write, gLo, gHi)
+	return false
 }
 
 // Deref is the cards_deref slow path (Listing 4): map the tagged address
@@ -142,6 +162,12 @@ func (r *Runtime) Deref(addr uint64, write bool) (uint64, error) {
 // DerefSpan is Deref carrying a write span for the dirty rectangle; see
 // GuardSpan.
 func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, error) {
+	return r.deref(addr, write, false, gLo, gHi)
+}
+
+// deref is the slow path behind every guard; storeOnly marks a
+// store-only write guard (GuardStore).
+func (r *Runtime) deref(addr uint64, write, storeOnly bool, gLo, gHi int) (uint64, error) {
 	r.stats.DerefCalls++
 	id := DSOf(addr)
 	d := r.DSByID(id)
@@ -153,6 +179,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 		return 0, &ErrBadAddress{Addr: addr, Why: fmt.Sprintf("offset beyond DS extent %d", d.size)}
 	}
 	idx := int(off >> d.objShift)
+	objOff := int(off & (uint64(d.Meta.ObjSize) - 1))
 	obj := &d.objs[idx]
 	r.accessSeq++
 	obj.lastUse = r.accessSeq
@@ -228,6 +255,22 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 			r.stats.DegradedOps++
 			return 0, errDegradedDeref(d.ID, idx)
 		}
+		if storeOnly && r.wvalidate && r.exactExtension(d, obj, objOff+gLo, objOff+gHi) {
+			// Write-validate: the store overwrites the only bytes the
+			// program can observe before a fill, so the frame starts
+			// empty and the fetch is skipped.
+			frame, err := r.allocFrame(d, idx)
+			if err != nil {
+				return 0, err
+			}
+			clear(r.arena.Bytes(frame, d.Meta.ObjSize))
+			obj.frame = frame
+			obj.state = objLocal
+			obj.partial = true
+			r.stats.WriteValidates++
+			r.emit(EvMaterialize, d.ID, idx, true)
+			break
+		}
 		missed = true
 		// The guard miss is the root cause of everything below it: the
 		// fetch, any evictions allocFrame triggers, their staged
@@ -242,7 +285,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 			r.endRoot(rootMine)
 			return 0, err
 		}
-		if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
+		if _, err := r.readImage(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
 			// Give the frame back and bump the epoch so the ring entry
 			// allocFrame just registered goes stale — otherwise every
 			// failed fetch would leak remotable budget.
@@ -260,12 +303,23 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 	}
 
 	obj.ref = true
+	if obj.partial && !(storeOnly && r.exactExtension(d, obj, objOff+gLo, objOff+gHi)) {
+		// Any access but a store that grows the written rectangle
+		// exactly needs the object's full image first.
+		if err := r.fill(d, idx); err != nil {
+			r.endRoot(rootMine)
+			return 0, err
+		}
+	}
 	if write {
-		r.markDirty(d, obj, int(off&(uint64(d.Meta.ObjSize)-1)), gLo, gHi)
+		r.markDirty(d, obj, objOff, gLo, gHi)
+		if obj.partial && rectCovers(d, obj.rect) {
+			obj.partial = false // every byte written: the image is whole
+		}
 	}
 	d.prefetcher.OnAccess(r, d, idx, missed)
 	r.endRoot(rootMine)
-	return obj.frame + (off & (uint64(d.Meta.ObjSize) - 1)), nil
+	return obj.frame + uint64(objOff), nil
 }
 
 // allocFrame reserves a local frame for one object of d, evicting cold
@@ -414,11 +468,10 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 	wasDirty := obj.dirty
 	if obj.dirty {
 		if !r.tryAsyncWriteBack(d, idx) {
-			if err := r.storeWrite(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err != nil {
+			if err := r.writeBackSync(d, idx); err != nil {
 				r.endRoot(rootMine)
 				return fmt.Errorf("farmem: write-back ds%d[%d]: %w", d.ID, idx, err)
 			}
-			r.link.WriteBack(d.Meta.ObjSize)
 		}
 		d.stats.WriteBacks++
 	} else {
@@ -437,6 +490,7 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 	r.remotableUsed -= uint64(d.Meta.ObjSize)
 	obj.state = objRemote
 	obj.dirty = false
+	obj.partial = false
 	obj.rect = dirtyRect{}
 	obj.ref = false
 	obj.epoch++
@@ -649,6 +703,9 @@ func (r *Runtime) ObjectWord(d *DS, idx int, byteOff int) (uint64, bool) {
 	}
 	obj := &d.objs[idx]
 	if obj.state != objLocal {
+		return 0, false
+	}
+	if obj.partial && !rectHolds(d, obj.rect, byteOff, byteOff+8) && r.fill(d, idx) != nil {
 		return 0, false
 	}
 	return r.arena.Read8(obj.frame + uint64(byteOff)), true

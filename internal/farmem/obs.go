@@ -65,6 +65,12 @@ const (
 	MetricRangeWriteBacks = "cards_farmem_range_writebacks_total"
 	MetricRangeBytesSaved = "cards_farmem_range_bytes_saved_total"
 
+	// Write-validate (writevalidate.go): store-only misses that skipped
+	// the fetch, and the far-tier reads that later completed such an
+	// object.
+	MetricWriteValidates = "cards_farmem_write_validates_total"
+	MetricPartialFills   = "cards_farmem_partial_fills_total"
+
 	// Traversal offload (chase.go): programs shipped, path objects
 	// delivered ahead of demand, derefs served from the chase staging
 	// area, stale results dropped by the write-back generation guard,
@@ -155,6 +161,8 @@ func (r *Runtime) PublishObs() {
 	reg.Counter(MetricWriteBackStagingHits).Store(s.WriteBackStagingHits)
 	reg.Counter(MetricRangeWriteBacks).Store(s.RangeWriteBacks)
 	reg.Counter(MetricRangeBytesSaved).Store(s.RangeBytesSaved)
+	reg.Counter(MetricWriteValidates).Store(s.WriteValidates)
+	reg.Counter(MetricPartialFills).Store(s.PartialFills)
 	reg.Gauge(MetricWriteBackStagedBytes).Set(int64(r.wbBytes))
 	reg.Gauge(MetricWriteBackStagedEntries).Set(int64(len(r.wbPending)))
 

@@ -87,6 +87,9 @@ type FarObj struct {
 	readyAt uint64 // arrival cycle when in flight
 	lastUse uint64 // global access sequence number at last deref
 	dirty   bool
+	// partial marks a write-validated object: only the bytes inside rect
+	// are valid; the rest lives on the far tier (writevalidate.go).
+	partial bool
 	ref     bool // CLOCK reference bit
 	epoch   uint32
 	// rect is the accumulated written region while dirty (dirtyrange.go);
@@ -331,11 +334,6 @@ type Config struct {
 	// RemotableBudget/4. Once staged-but-unsettled payload exceeds the
 	// budget, the next dirty eviction blocks on the oldest staged write.
 	WriteBackBudget uint64
-
-	// RangeWriteback enables dirty-range write-back (dirtyrange.go):
-	// evictions of objects whose writes the guards bounded ship only the
-	// modified byte ranges when the store supports it (RangeWriteStore).
-	RangeWriteback bool
 }
 
 // clockEntry is one CLOCK ring slot.
@@ -375,6 +373,10 @@ type RuntimeStats struct {
 	RangeWriteBacks uint64 // evictions that shipped extents instead of the full object
 	RangeBytesSaved uint64 // object bytes elided from the wire by range write-backs
 
+	// Write-validate counters (see writevalidate.go).
+	WriteValidates uint64 // store-only misses served without a fetch
+	PartialFills   uint64 // far-tier reads that completed a write-validated image (also in RemoteFetches)
+
 	// Traversal-offload counters (see chase.go).
 	ChasesIssued     uint64 // traversal programs shipped to the far tier
 	ChaseHopsStaged  uint64 // path objects delivered and staged for deref
@@ -393,12 +395,14 @@ type Runtime struct {
 	astore AsyncStore // non-nil iff store supports IssueRead
 
 	// Asynchronous write-back pipeline (writeback.go).
-	rwstore   RangeWriteStore // non-nil iff range write-back is on and supported
+	rwstore   RangeWriteStore // non-nil iff the store supports range write-back
+	wvalidate bool            // store-only misses may skip the fetch (writevalidate.go)
 	extFree   [][]rdma.Extent // pooled extent slices (dirtyrange.go)
 	awstore   AsyncWriteStore // non-nil iff store supports IssueWrite
 	wbPending map[wbKey]*pendingWB
 	wbOrder   []*pendingWB // issue-order FIFO (entries validated lazily)
-	wbBytes   uint64       // staged-but-unsettled payload bytes
+	wbBytes   uint64       // staged-but-unsettled payload bytes charged to wbBudget
+	wbHeld    uint64       // staging buffer bytes those entries hold
 	wbBudget  uint64
 	wbFree    map[int][][]byte // staging buffer free lists, by size
 	wbBusy    bool             // order-list scan reentrancy guard
@@ -509,10 +513,10 @@ func New(cfg Config) *Runtime {
 	}
 	if aw, ok := store.(AsyncWriteStore); ok {
 		r.awstore = aw
-		if cfg.RangeWriteback {
-			if rw, ok := store.(RangeWriteStore); ok {
-				r.rwstore = rw
-			}
+		if rw, ok := store.(RangeWriteStore); ok {
+			r.rwstore = rw
+			_, multi := store.(Recoverable)
+			r.wvalidate = !multi
 		}
 		r.wbPending = make(map[wbKey]*pendingWB)
 		r.wbFree = make(map[int][][]byte)
@@ -526,6 +530,10 @@ func New(cfg Config) *Runtime {
 		r.chaseStaged = make(map[wbKey][]byte)
 		r.chaseStarts = make(map[wbKey]*pendingChase)
 	}
+	reg.Describe(MetricWriteValidates, "misses",
+		"Store-only misses served without fetching the object (write-validate): the frame starts empty and only the written extents are valid.")
+	reg.Describe(MetricPartialFills, "reads",
+		"Far-tier reads that completed a write-validated object for an access or write-back that needed its full image; also counted in cards_farmem_remote_fetches_total.")
 	if rec, ok := store.(Recoverable); ok {
 		r.recoverable = rec
 		r.lastRecoveryEpoch = rec.RecoveryEpoch()

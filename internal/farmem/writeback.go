@@ -69,10 +69,18 @@ type pendingWB struct {
 	idx  int
 	buf  []byte // pooled staging snapshot of the dirty payload
 	size int
+	// charge is what the entry counts against the staging budget: the
+	// object size, or only the extents' bytes of a partial entry.
+	charge int
 	// exts, when non-nil, are the modified ranges within buf: the write
-	// was issued as a range write (dirtyrange.go). buf still holds the
-	// FULL object so a synchronous reissue replays the whole image.
+	// was issued as a range write (dirtyrange.go). buf holds the FULL
+	// object so a synchronous reissue replays the whole image — unless
+	// partial is set: then the object was write-validated and only the
+	// bytes inside rect (exactly the extents) are valid; a reissue
+	// completes the image first (reissueWB).
 	exts    []rdma.Extent
+	partial bool
+	rect    dirtyRect
 	doneAt  uint64 // virtual settle cycle (link.WriteBackAsync)
 	done    chan error
 	err     error
@@ -135,8 +143,12 @@ func (r *Runtime) putWBBuf(b []byte) {
 // its staging buffer. Order-list entries are dropped lazily (validity is
 // rechecked against the map on every scan).
 func (r *Runtime) releaseWB(p *pendingWB) {
+	if r.wbPending[p.key] != p {
+		return // already released (a drain inside a reissue got there first)
+	}
 	delete(r.wbPending, p.key)
-	r.wbBytes -= uint64(p.size)
+	r.wbBytes -= uint64(p.charge)
+	r.wbHeld -= uint64(p.size)
 	r.putWBBuf(p.buf)
 	p.buf = nil
 	r.putExtBuf(p.exts)
@@ -159,7 +171,7 @@ func (r *Runtime) settleWB(p *pendingWB) bool {
 		r.emit(EvBreakerTrip, -1, 0, false)
 	}
 	r.stats.WriteBackReissues++
-	if err := r.storeWrite(p.d, p.idx, p.buf); err == nil {
+	if err := r.reissueWB(p); err == nil {
 		r.link.WriteBack(p.size)
 		r.releaseWB(p)
 		return true
@@ -236,34 +248,56 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 		}
 	}
 	sz := d.Meta.ObjSize
-	r.harvestWriteBacks()
-	for r.wbBytes+uint64(sz) > r.wbBudget {
-		if !r.waitOldestWB() {
-			return false
-		}
-	}
 	obj := &d.objs[idx]
-	buf := r.getWBBuf(sz)
-	copy(buf, r.arena.Bytes(obj.frame, sz))
 	exts := r.rangeExtents(d, obj)
-	p := &pendingWB{key: key, d: d, idx: idx, buf: buf, size: sz, exts: exts,
-		done: make(chan error, 1)}
+	if obj.partial && exts == nil {
+		return false // no full image to ship: the sync path fills first
+	}
+	shipped := sz
 	if exts != nil {
-		// Only the extent bytes ride the wire; the virtual link charge
-		// shrinks with them.
-		shipped := 0
+		shipped = 0
 		for _, e := range exts {
 			shipped += int(e.Len)
 		}
-		p.doneAt = r.link.WriteBackAsync(shipped)
+	}
+	// A partial entry carries nothing but its extents' bytes, so that is
+	// all it charges against the staging budget. Its buffer is still
+	// object-sized (the range verb indexes extents into an object
+	// image), so the buffers held stay bounded too: by the budget or the
+	// cache size, whichever is larger — a bound full entries, charged
+	// their whole buffer, never reach.
+	charge := sz
+	if obj.partial {
+		charge = shipped
+	}
+	held := max(r.wbBudget, r.remotableBudget)
+	r.harvestWriteBacks()
+	for r.wbBytes+uint64(charge) > r.wbBudget || r.wbHeld+uint64(sz) > held {
+		if !r.waitOldestWB() {
+			r.putExtBuf(exts)
+			return false
+		}
+	}
+	buf := r.getWBBuf(sz)
+	if obj.partial {
+		// Only the rectangle holds valid bytes, and only it ships.
+		overlayRect(d, obj.rect, buf, r.arena.Bytes(obj.frame, sz))
+	} else {
+		copy(buf, r.arena.Bytes(obj.frame, sz))
+	}
+	p := &pendingWB{key: key, d: d, idx: idx, buf: buf, size: sz, charge: charge,
+		exts: exts, partial: obj.partial, rect: obj.rect, done: make(chan error, 1)}
+	// Only the extent bytes ride the wire; the virtual link charge
+	// shrinks with them.
+	p.doneAt = r.link.WriteBackAsync(shipped)
+	if exts != nil {
 		r.stats.RangeWriteBacks++
 		r.stats.RangeBytesSaved += uint64(sz - shipped)
-	} else {
-		p.doneAt = r.link.WriteBackAsync(sz)
 	}
 	r.wbPending[key] = p
 	r.wbOrder = append(r.wbOrder, p)
-	r.wbBytes += uint64(sz)
+	r.wbBytes += uint64(charge)
+	r.wbHeld += uint64(sz)
 	r.stats.StagedWriteBacks++
 	if exts != nil {
 		r.rwstore.IssueWriteRanges(d.ID, idx, buf, exts, func(err error) { p.done <- err })
@@ -280,12 +314,16 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 func (r *Runtime) derefFromStaging(d *DS, idx int) (bool, error) {
 	key := wbKey{d.ID, idx}
 	p, ok := r.wbPending[key]
-	if !ok {
+	if !ok || (p.partial && !p.parked) {
+		// A partial write still in flight holds only its extents: the
+		// miss path write-validates again or reads the far tier with
+		// them overlaid (readImage).
 		return false, nil
 	}
 	// Snapshot the payload before allocFrame: evicting to make room can
 	// settle (and recycle) this very entry through write-back
 	// backpressure or a recovery drain.
+	partial, rect := p.partial, p.rect
 	sz := d.Meta.ObjSize
 	tmp := r.getWBBuf(sz)
 	copy(tmp, p.buf)
@@ -299,7 +337,13 @@ func (r *Runtime) derefFromStaging(d *DS, idx int) (bool, error) {
 	obj := &d.objs[idx]
 	obj.frame = frame
 	obj.state = objLocal
-	if q, live := r.wbPending[key]; live && q == p && p.parked {
+	if partial {
+		// A parked partial write turns back into the partial object it
+		// came from — dirty, exactly its extents valid — with no
+		// network; the access then grows or fills it as usual.
+		obj.dirty, obj.partial, obj.rect = true, true, rect
+		r.releaseWB(p)
+	} else if q, live := r.wbPending[key]; live && q == p && p.parked {
 		// The parked staging copy was the only durable copy; the frame
 		// takes over that role, so the object re-localizes dirty and the
 		// staging budget is released. The remote base predates the parked
@@ -352,7 +396,7 @@ func (r *Runtime) drainParked(scope DrainScoper, sinceEpoch uint64) (remain bool
 			kept = append(kept, p)
 			continue
 		}
-		if err := r.storeWrite(p.d, p.idx, p.buf); err != nil {
+		if err := r.reissueWB(p); err != nil {
 			remain = true
 			kept = append(kept, p)
 			continue
@@ -392,7 +436,7 @@ func (r *Runtime) DrainWriteBacks() error {
 		// Parked (possibly just now): one more synchronous attempt — a
 		// recovered shard accepts it and the entry retires.
 		r.stats.WriteBackReissues++
-		if err := r.storeWrite(p.d, p.idx, p.buf); err != nil {
+		if err := r.reissueWB(p); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -413,3 +457,10 @@ func (r *Runtime) StagedWriteBackBytes() uint64 { return r.wbBytes }
 // StagedWriteBackEntries reports the number of staged write-backs
 // (in flight or parked).
 func (r *Runtime) StagedWriteBackEntries() int { return len(r.wbPending) }
+
+// staged reports whether (d, idx) has a staged write-back (in flight or
+// parked).
+func (r *Runtime) staged(d *DS, idx int) bool {
+	_, ok := r.wbPending[wbKey{d.ID, idx}]
+	return ok
+}

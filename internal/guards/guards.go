@@ -45,6 +45,10 @@ type Options struct {
 	InductionOnlyElision bool
 }
 
+// storeWidth is the bytes one store writes: the interpreter stores one
+// 64-bit word whatever the store's element type.
+const storeWidth = 8
+
 // DefaultOptions returns the full CaRDS configuration.
 func DefaultOptions() Options {
 	return Options{ElideRedundant: true, Version: true}
@@ -145,10 +149,12 @@ func (res *Result) insertGuards(f *ir.Function, ds *dsa.Result, an *analysis.Res
 			}
 
 			if covered != nil {
-				_ = coveredBy
 				// Reuse: rewrite the address to the guard's localized
-				// result, offset by the static delta.
+				// result, offset by the static delta. The covering guard
+				// now vouches for a second access, so it no longer covers
+				// exactly its own store.
 				res.GuardsElided++
+				covered.guard.StoreOnly = false
 				delta := off - covered.off
 				if isWrite && coveredBy.write {
 					// The covering write guard now also vouches for this
@@ -181,8 +187,13 @@ func (res *Result) insertGuards(f *ir.Function, ds *dsa.Result, an *analysis.Res
 			if isWrite && in.Elem != nil {
 				// The store's written span relative to the guarded
 				// address: the compiler-aided seed of the runtime's
-				// dirty rectangle (dirty-range write-back).
+				// dirty rectangle (dirty-range write-back). Until a
+				// later access reuses the guard, it covers exactly this
+				// store — when the span is what a store writes: one
+				// word. An aggregate-typed store still writes one word,
+				// so its span over-claims and the mark stays off.
 				g.GLo, g.GHi = 0, in.Elem.Size()
+				g.StoreOnly = g.GHi == storeWidth
 			}
 			g.DSRefs = append([]int(nil), ids...)
 			g.Dst = f.NewReg("", ir.Ptr(in.Elem))

@@ -268,3 +268,79 @@ func TestInductionOnlyElisionNarrower(t *testing.T) {
 		t.Errorf("CaRDS elision should catch field aliases, elided %d", cards.GuardsElided)
 	}
 }
+
+// writeGuards returns the write guards of main in program order.
+func writeGuards(m *ir.Module) []*ir.Instr {
+	var gs []*ir.Instr
+	m.FuncByName("main").Instrs(func(_ *ir.Block, _ int, in *ir.Instr) bool {
+		if in.Op == ir.OpGuard && in.IsWrite {
+			gs = append(gs, in)
+		}
+		return true
+	})
+	return gs
+}
+
+// TestStoreOnlyGuards: a fresh write guard covers exactly its own store
+// (store-only, span = the store's width); redundant-guard-elimination
+// reuse by a load or by a second store clears the mark.
+func TestStoreOnlyGuards(t *testing.T) {
+	node := ir.NewStruct("node", ir.F("a", ir.I64()), ir.F("b", ir.F64()))
+	build := func(body func(b *ir.Builder, p ir.Value)) *ir.Module {
+		m := ir.NewModule("storeonly")
+		f := m.NewFunc("main", ir.Void())
+		b := ir.NewBuilder(f)
+		p := b.Alloc(node, ir.CI(1))
+		loop := b.CountedLoop("i", ir.CI(0), ir.CI(16), ir.CI(1))
+		body(b, p)
+		b.CloseLoop(loop)
+		b.Ret(nil)
+		m.AssignSites()
+		ir.MustVerify(m)
+		compile(t, m, DefaultOptions())
+		return m
+	}
+
+	m := build(func(b *ir.Builder, p ir.Value) {
+		b.Store(ir.F64(), ir.CI(7), b.FieldAddr(p, node, "b"))
+	})
+	gs := writeGuards(m)
+	if len(gs) != 1 {
+		t.Fatalf("%d write guards, want 1", len(gs))
+	}
+	if g := gs[0]; !g.StoreOnly || g.GLo != 0 || g.GHi != 8 {
+		t.Fatalf("lone f64 store: StoreOnly=%v span [%d,%d), want store-only [0,8)", g.StoreOnly, g.GLo, g.GHi)
+	}
+
+	// A store typed as an aggregate still writes one word: its span
+	// over-claims, so the guard keeps the span but is not store-only.
+	gs = writeGuards(build(func(b *ir.Builder, p ir.Value) {
+		b.Store(node, ir.CI(7), p)
+	}))
+	if len(gs) != 1 {
+		t.Fatalf("aggregate store: %d write guards, want 1", len(gs))
+	}
+	if g := gs[0]; g.StoreOnly || g.GHi != node.Size() {
+		t.Fatalf("aggregate store: StoreOnly=%v span [%d,%d), want not store-only, span [0,%d)",
+			g.StoreOnly, g.GLo, g.GHi, node.Size())
+	}
+
+	for name, body := range map[string]func(b *ir.Builder, p ir.Value){
+		"load reuse": func(b *ir.Builder, p ir.Value) {
+			b.Store(ir.I64(), ir.CI(1), b.FieldAddr(p, node, "a"))
+			b.Load(ir.F64(), b.FieldAddr(p, node, "b"))
+		},
+		"store reuse": func(b *ir.Builder, p ir.Value) {
+			b.Store(ir.I64(), ir.CI(1), b.FieldAddr(p, node, "a"))
+			b.Store(ir.F64(), ir.CI(2), b.FieldAddr(p, node, "b"))
+		},
+	} {
+		gs := writeGuards(build(body))
+		if len(gs) != 1 {
+			t.Fatalf("%s: %d write guards, want 1 (the second access elided)", name, len(gs))
+		}
+		if gs[0].StoreOnly {
+			t.Errorf("%s: the reused guard is still store-only", name)
+		}
+	}
+}

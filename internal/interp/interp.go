@@ -199,7 +199,13 @@ func (m *Machine) call(f *ir.Function, args []uint64) (uint64, error) {
 			fr.set(in.Dst, base+off+uint64(in.ConstOff))
 
 		case ir.OpGuard:
-			p, err := m.rt.GuardSpan(fr.get(in.Addr), in.IsWrite, in.GLo, in.GHi)
+			var p uint64
+			var err error
+			if in.StoreOnly {
+				p, err = m.rt.GuardStore(fr.get(in.Addr), in.GLo, in.GHi)
+			} else {
+				p, err = m.rt.GuardSpan(fr.get(in.Addr), in.IsWrite, in.GLo, in.GHi)
+			}
 			if err != nil {
 				return 0, fmt.Errorf("interp: @%s %s: %w", f.Name, in, err)
 			}

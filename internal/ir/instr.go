@@ -236,6 +236,13 @@ type Instr struct {
 	// runtime then dirties conservatively. Meaningless on read guards.
 	GLo, GHi int
 
+	// StoreOnly marks a write guard whose localized address feeds
+	// exactly one store writing exactly [GLo, GHi): no load and no
+	// second store reuses it. The runtime may then serve a miss without
+	// fetching the object (write-validate): the store overwrites every
+	// byte the program can observe before the rest is filled in.
+	StoreOnly bool
+
 	// DSRefs lists data structure IDs consulted by OpAllLocal.
 	DSRefs []int
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,5 +173,48 @@ func TestChaseReplayHalvesHopBudget(t *testing.T) {
 	}
 	if !rdma.ChaseAddrTagged(res.Final) || rdma.ChaseAddrOff(res.Final)/64 != 1 {
 		t.Fatalf("resume address %#x does not point at node 1", res.Final)
+	}
+}
+
+// TestResilientLivenessConcurrent: ChaseCapable (the lock-free path the
+// runtime's ChaseReady takes on every deref) races the client's death,
+// the replacement dial and Close; under -race the reads must stay
+// synchronized, and once closed the client reports no capability.
+func TestResilientLivenessConcurrent(t *testing.T) {
+	srv := NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := DialResilient(addr, DialConfig{Timeout: 200 * time.Millisecond, RetryMax: 1,
+		RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					r.ChaseCapable()
+				}
+			}
+		}()
+	}
+	srv.Close() // the session dies; pings retire the client and redial
+	for i := 0; i < 20; i++ {
+		r.Ping()
+	}
+	r.Close()
+	close(stop)
+	wg.Wait()
+	if r.ChaseCapable() {
+		t.Fatal("a closed Resilient still reports chase capability")
 	}
 }

@@ -250,6 +250,7 @@ type PipelinedClient struct {
 	nextTag      uint32
 	pending      map[uint32][]*pipeOp // tag -> ops awaiting the tagged reply
 	err          error                // sticky transport/close error
+	dead         atomic.Bool          // err != nil, readable without mu (Alive)
 
 	rng  *rand.Rand    // backoff jitter; only the reconnect winner uses it
 	stop chan struct{} // closed by fail: aborts backoff sleeps
@@ -552,11 +553,7 @@ func (c *PipelinedClient) Close() error {
 // not been closed and has not failed permanently after exhausting its
 // reconnect budget. A false result is terminal: callers holding a dead
 // client must dial a new one (see Resilient).
-func (c *PipelinedClient) Alive() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil
-}
+func (c *PipelinedClient) Alive() bool { return !c.dead.Load() }
 
 // fail marks the client broken permanently: completes everything
 // outstanding with err, wakes the loops, aborts reconnect sleeps, and
@@ -569,6 +566,7 @@ func (c *PipelinedClient) fail(err error) {
 		return
 	}
 	c.err = err
+	c.dead.Store(true)
 	queued := append(c.queue, c.wqueue...)
 	c.queue, c.wqueue = nil, nil
 	pend := c.pending

@@ -1,6 +1,9 @@
 package remote
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Resilient is a far-tier client that survives outages longer than the
 // underlying client's reconnect budget. The PipelinedClient replays its
@@ -20,8 +23,10 @@ type Resilient struct {
 	addr string
 	opts PipelineOpts
 
+	// mu serializes replacement dials, retirement and Close; cur is
+	// written under it and read without it on the hot path.
 	mu     sync.Mutex
-	cur    *PipelinedClient
+	cur    atomic.Pointer[PipelinedClient]
 	closed bool
 }
 
@@ -34,25 +39,30 @@ func DialResilient(addr string, cfg DialConfig) (*Resilient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Resilient{addr: addr, opts: opts, cur: c}, nil
+	r := &Resilient{addr: addr, opts: opts}
+	r.cur.Store(c)
+	return r, nil
 }
 
 // client returns the live client, dialing a replacement if the previous
 // one was retired.
 func (r *Resilient) client() (*PipelinedClient, error) {
+	if c := r.cur.Load(); c != nil {
+		return c, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil, ErrClientClosed
 	}
-	if r.cur != nil {
-		return r.cur, nil
+	if c := r.cur.Load(); c != nil {
+		return c, nil
 	}
 	c, err := dialOnce(r.addr, r.opts)
 	if err != nil {
 		return nil, err
 	}
-	r.cur = c
+	r.cur.Store(c)
 	return c, nil
 }
 
@@ -63,9 +73,7 @@ func (r *Resilient) retire(c *PipelinedClient) {
 		return
 	}
 	r.mu.Lock()
-	if r.cur == c {
-		r.cur = nil
-	}
+	r.cur.CompareAndSwap(c, nil)
 	r.mu.Unlock()
 	// The client has already failed permanently: its connection is closed
 	// and its loops are exiting, so Close only waits for them. That wait
@@ -139,8 +147,7 @@ func (r *Resilient) IssueWrite(ds, idx int, src []byte, done func(error)) {
 // ErrClientClosed.
 func (r *Resilient) Close() error {
 	r.mu.Lock()
-	c := r.cur
-	r.cur = nil
+	c := r.cur.Swap(nil)
 	r.closed = true
 	r.mu.Unlock()
 	if c != nil {

@@ -44,14 +44,15 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool) bool {
 // must bring every stale object up to the survivors' epochs before the
 // member rejoins the read set.
 // TestReplicaKillBackendRangeWriteback reruns the kill-a-backend chaos
-// scenario with compiler-aided dirty-range write-back on: every group
-// write ships only the modified extents (epoch-stamped WRITERANGE) to
-// the replicas that speak the verb. Killing a backend mid-run leaves
-// range writes in uncertain states; the sub-write failure marks the
-// member divergent and anti-entropy repairs it with full objects, so
-// the checksum must stay exact and the restarted victim must converge
-// to the survivors' epochs — a replica can never be wedged by a splice
-// it may or may not have applied.
+// scenario with compiler-aided dirty-range write-back, which the runtime
+// uses whenever the store has the verb (the replicated store never
+// write-validates): every group write ships only the modified extents
+// (epoch-stamped WRITERANGE) to the replicas that speak the verb.
+// Killing a backend mid-run leaves range writes in uncertain states;
+// the sub-write failure marks the member divergent and anti-entropy
+// repairs it with full objects, so the checksum must stay exact and the
+// restarted victim must converge to the survivors' epochs — a replica
+// can never be wedged by a splice it may or may not have applied.
 func TestReplicaKillBackendRangeWriteback(t *testing.T) {
 	const nBackends = 3
 	before := runtime.NumGoroutine()
@@ -74,7 +75,6 @@ func TestReplicaKillBackendRangeWriteback(t *testing.T) {
 			RemotableBudget: 8 * 4096,
 			Store:           store,
 			RetryMax:        8,
-			RangeWriteback:  true,
 		})
 		if err != nil {
 			t.Fatal(err)
